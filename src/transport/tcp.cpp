@@ -23,14 +23,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// First bytes on every link: magic + the initiator's node id, plus (on
-/// authenticated deployments) an HMAC tag under the pairwise key — without
-/// it, a keyless attacker racing the mesh bring-up could claim a legitimate
-/// node id and black-hole that link (frames would fail their MACs, but the
-/// real peer's connection would already have been rejected as a duplicate).
-constexpr std::uint32_t kHelloMagic = 0x44504849;  // "IHPD" LE == "DPHI"
-constexpr std::size_t kHelloPrefixSize = 8;
-
 /// Frames gathered per writev(2): the portable IOV_MAX floor (1024 entries
 /// = up to 512 authenticated frames per syscall). The iovec array is pooled
 /// per node, so the only cost of a large gather is the syscalls it saves.
@@ -50,16 +42,6 @@ constexpr std::size_t kStageFrameLimit = 256;
 /// stage_, reserved once, so mid-gather reallocation (which would
 /// invalidate iovec pointers) cannot happen.
 constexpr std::size_t kStageByteBudget = 256 * 1024;
-
-/// Recovery-mode hellos (Options::recovery) append a u64 after the prefix:
-/// how many complete frames the sender has received from the destination on
-/// this link across all its incarnations. The other side replays exactly the
-/// suffix of its send log the count says is missing. Legacy (non-recovery)
-/// hellos stay byte-identical to the pre-recovery wire format.
-std::size_t hello_size(bool auth, bool recovery = false) {
-  return kHelloPrefixSize + (recovery ? 8 : 0) +
-         (auth ? crypto::kMacTagSize : 0);
-}
 
 crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
                          const std::uint64_t* recv = nullptr) {
@@ -174,16 +156,6 @@ void write_all(int fd, std::span<const std::uint8_t> data) {
   }
 }
 
-std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
-                                       const std::uint64_t* recv = nullptr) {
-  ByteWriter w(hello_size(key != nullptr, recv != nullptr));
-  w.u32(kHelloMagic);
-  w.u32(self);
-  if (recv != nullptr) w.u64(*recv);
-  if (key != nullptr) w.raw(hello_tag(*key, self, recv));
-  return w.take();
-}
-
 /// Full write on a non-blocking fd with a short bounded poll budget (hellos
 /// are <= 48 bytes, so a stall means the peer is gone or wedged). Returns
 /// false if it could not complete — the caller drops the connection.
@@ -207,6 +179,24 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
 }
 
 }  // namespace
+
+// -------------------------------------------------------------------- hello
+
+std::size_t hello_size(bool auth, bool counted) {
+  return kHelloPrefixSize + (counted ? 8 : 0) +
+         (auth ? crypto::kMacTagSize : 0);
+}
+
+std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
+                                       std::optional<std::uint64_t> recv) {
+  const std::uint64_t* count = recv.has_value() ? &*recv : nullptr;
+  ByteWriter w(hello_size(key != nullptr, count != nullptr));
+  w.u32(kHelloMagic);
+  w.u32(self);
+  if (count != nullptr) w.u64(*count);
+  if (key != nullptr) w.raw(hello_tag(*key, self, count));
+  return w.take();
+}
 
 // --------------------------------------------------------------------- Node
 
@@ -577,7 +567,7 @@ class TcpCluster::Node final : public net::Context {
       const crypto::Key* key =
           opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
       const std::uint64_t recv = p.recv_count;
-      if (!write_fully(p.dial_fd, encode_hello(self_, key, &recv))) {
+      if (!write_fully(p.dial_fd, encode_hello(self_, key, recv))) {
         fail_dial(j, p);
         return;
       }
@@ -658,7 +648,7 @@ class TcpCluster::Node final : public net::Context {
           const crypto::Key* key =
               opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
           const std::uint64_t recv = p.recv_count;
-          if (write_fully(pa.fd, encode_hello(self_, key, &recv))) {
+          if (write_fully(pa.fd, encode_hello(self_, key, recv))) {
             adopt_link(who, p, pa.fd, peer_recv);
           } else {
             ::close(pa.fd);
@@ -888,7 +878,7 @@ class TcpCluster::Node final : public net::Context {
               const crypto::Key* key =
                   opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
               const std::uint64_t recv = peers_[who].recv_count;
-              genuine = write_fully(ph.fd, encode_hello(self_, key, &recv));
+              genuine = write_fully(ph.fd, encode_hello(self_, key, recv));
             }
           } else if (genuine && opts_.auth) {
             crypto::Digest received;
@@ -926,7 +916,7 @@ class TcpCluster::Node final : public net::Context {
   bool bringup_handshake(NodeId j, int fd, const crypto::Key* key,
                          Clock::time_point deadline) {
     const std::uint64_t recv = peers_[j].recv_count;
-    const auto hello = encode_hello(self_, key, &recv);
+    const auto hello = encode_hello(self_, key, recv);
     std::size_t woff = 0;
     while (woff < hello.size()) {
       const ssize_t k = ::write(fd, hello.data() + woff, hello.size() - woff);

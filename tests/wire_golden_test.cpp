@@ -16,6 +16,7 @@
 #include "dolev/dolev.hpp"
 #include "rbc/rbc.hpp"
 #include "transport/frame.hpp"
+#include "transport/tcp.hpp"
 
 namespace delphi {
 namespace {
@@ -140,6 +141,32 @@ TEST(WireGolden, HighChannelFrameRoundTrips) {
       ASSERT_TRUE(f.has_value()) << "channel " << ch;
       EXPECT_EQ(f->channel, ch);
       EXPECT_EQ(f->payload, payload);
+    }
+  }
+}
+
+TEST(WireGolden, LinkHellos) {
+  // The first bytes two builds exchange on a TCP link: node 3 opening its
+  // link to node 1 under master secret 7, in all four forms (legacy and
+  // counted, each plain and authenticated; the counted form carries a
+  // receive count of 300).
+  const crypto::KeyStore keys(7, 4);
+  const crypto::Key& key = keys.channel_key(3, 1);
+  EXPECT_EQ(hex(transport::encode_hello(3, nullptr)), "4948504403000000");
+  EXPECT_EQ(hex(transport::encode_hello(3, &key)),
+            "4948504403000000ce74534b07718340cb8fbe4e39c58434eed5d6df81adf2e0"
+            "6f346d9d3402b1e2");
+  EXPECT_EQ(hex(transport::encode_hello(3, nullptr, 300)),
+            "49485044030000002c01000000000000");
+  EXPECT_EQ(hex(transport::encode_hello(3, &key, 300)),
+            "49485044030000002c0100000000000010398281219e03d56539276008ae27b7"
+            "a4a8e6c9ffc82b09123d0c5016d6d4b6");
+  for (const bool auth : {false, true}) {
+    for (const bool counted : {false, true}) {
+      const auto recv =
+          counted ? std::optional<std::uint64_t>(300) : std::nullopt;
+      EXPECT_EQ(transport::encode_hello(3, auth ? &key : nullptr, recv).size(),
+                transport::hello_size(auth, counted));
     }
   }
 }
