@@ -1,20 +1,15 @@
 /// Real-socket TCP data-plane throughput — the substrate behind the paper's
-/// fig6a/6b deployments. Two sections:
+/// fig6a/6b deployments. Three sections:
 ///
-///   1. Broadcast fan-out cost: the per-destination price of framing one
-///      payload for many links — the legacy path (fresh encode + full HMAC
-///      key schedule per destination, what the pre-overhaul data plane did)
-///      against the shared-body + precomputed-HmacKey path, in the same
-///      binary, so the PR-5 before/after ratio is re-measured on every run.
-///   2. Link flood: a windowed credit protocol saturates the authenticated
+///   1. Link flood: a windowed credit protocol saturates the authenticated
 ///      TCP mesh with fixed-size broadcast frames and measures delivered
 ///      frames/s and MB/s (payload size x auth on/off x n).
-///   3. Multi-instance flood: the same flood split across k concurrent
+///   2. Multi-instance flood: the same flood split across k concurrent
 ///      SessionMux instances over ONE mesh (instances in {1,2,4,8} x n) —
 ///      frames from every instance funnel through the same per-link outq and
 ///      gathered-writev staging, so aggregate authenticated frames/s must
 ///      hold at (or above) the single-instance baseline.
-///   4. Scenario sweep: protocol x n x auth x instances through
+///   3. Scenario sweep: protocol x n x auth x instances through
 ///      ScenarioSpec/TcpRuntime — the end-to-end numbers every future TCP
 ///      scenario inherits.
 ///
@@ -232,58 +227,6 @@ FloodResult run_mux_flood(std::size_t n, std::size_t payload, bool auth,
   return res;
 }
 
-// --------------------------------------------------------- fan-out section
-
-/// ns per destination for framing one `payload_size`-byte broadcast to
-/// `fanout` authenticated links, legacy vs shared-body path.
-struct FanoutCost {
-  double legacy_ns = 0.0;
-  double shared_ns = 0.0;
-};
-
-FanoutCost measure_fanout(std::size_t payload_size, std::size_t fanout,
-                          std::size_t iters) {
-  const std::vector<std::uint8_t> payload(payload_size, 0x5A);
-  crypto::KeyStore keys(/*master=*/7, fanout + 1);
-  std::vector<crypto::HmacKey> links;  // per-link midstates, derived once
-  for (std::size_t j = 0; j < fanout; ++j) {
-    links.emplace_back(keys.channel_key(0, static_cast<NodeId>(j + 1)));
-  }
-
-  FanoutCost cost;
-  std::uint64_t sink = 0;
-  {
-    // Legacy: every destination re-encodes the frame and re-runs the full
-    // HMAC key schedule (ipad/opad absorption) — per-destination work.
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      for (std::size_t j = 0; j < fanout; ++j) {
-        const auto frame = transport::encode_frame(
-            3, payload, &keys.channel_key(0, static_cast<NodeId>(j + 1)));
-        sink += frame.back();
-      }
-    }
-    cost.legacy_ns =
-        seconds_since(t0) * 1e9 / static_cast<double>(iters * fanout);
-  }
-  {
-    // Shared body: one serialization, per-destination work is two
-    // compression finishes on the precomputed midstates.
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      const auto body = transport::encode_frame_body(3, payload, true);
-      for (std::size_t j = 0; j < fanout; ++j) {
-        const auto tag = transport::frame_tag(links[j], *body);
-        sink += tag[31];
-      }
-    }
-    cost.shared_ns =
-        seconds_since(t0) * 1e9 / static_cast<double>(iters * fanout);
-  }
-  if (sink == 0xFFFFFFFF) std::printf("~");  // defeat dead-code elimination
-  return cost;
-}
-
 // ---------------------------------------------------------- scenario suite
 
 scenario::ScenarioSpec protocol_spec(const std::string& protocol,
@@ -311,22 +254,6 @@ int main(int argc, char** argv) {
               "instances through ScenarioSpec/TcpRuntime.");
 
   int failures = 0;
-
-  // ---- broadcast fan-out cost ------------------------------------------
-  std::printf("\n-- broadcast fan-out: ns/destination, authenticated (%s) --\n",
-              crypto::sha256_hw_accelerated() ? "SHA-NI" : "scalar SHA-256");
-  const std::vector<int> cw = {8, 8, 14, 14, 10};
-  print_row({"payload", "fanout", "legacy ns", "shared ns", "speedup"}, cw);
-  const std::size_t fan_iters = quick ? 5'000 : 20'000;
-  for (const std::size_t payload : {64u, 1024u}) {
-    for (const std::size_t fanout : {4u, 16u}) {
-      const auto c = measure_fanout(payload, fanout, fan_iters);
-      print_row({std::to_string(payload), std::to_string(fanout),
-                 fmt(c.legacy_ns, 0), fmt(c.shared_ns, 0),
-                 fmt(c.legacy_ns / c.shared_ns, 2) + "x"},
-                cw);
-    }
-  }
 
   // ---- link flood -------------------------------------------------------
   std::printf("\n-- link flood (node 0 broadcasts, %u-frame window) --\n",

@@ -170,14 +170,15 @@ std::vector<NodeId> churn_targets(const ScenarioSpec& rs, std::size_t entry) {
   return ids;
 }
 
-/// Expand the spec's churn schedule into per-node transport windows (the
-/// same expansion feeds sim::SimConfig::churn, field for field).
-std::vector<transport::ChurnWindow> churn_windows(const ScenarioSpec& rs) {
-  std::vector<transport::ChurnWindow> ws;
+/// Expand the spec's churn schedule into per-node restart windows — the one
+/// expansion every substrate consumes (SimConfig::churn and both socket
+/// clusters' Options::churn).
+std::vector<net::ChurnWindow> churn_windows(const ScenarioSpec& rs) {
+  std::vector<net::ChurnWindow> ws;
   for (std::size_t e = 0; e < rs.churn.size(); ++e) {
     for (NodeId id : churn_targets(rs, e)) {
-      ws.push_back({id, static_cast<std::int64_t>(rs.churn[e].down_us),
-                    static_cast<std::int64_t>(rs.churn[e].up_us)});
+      ws.push_back({id, static_cast<SimTime>(rs.churn[e].down_us),
+                    static_cast<SimTime>(rs.churn[e].up_us)});
     }
   }
   return ws;
@@ -282,11 +283,9 @@ void check_netem_support(const ScenarioSpec& rs) {
 }
 
 /// The socket-substrate run body shared by TcpRuntime and UdpRuntime: both
-/// clusters expose the same lifecycle/observer API, so only the Options
-/// differ.
-template <typename Cluster>
+/// clusters are SocketClusters with the same lifecycle/observer API.
 RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
-                      const typename Cluster::Options& opts) {
+                      std::unique_ptr<transport::SocketCluster> owned) {
   const auto crashed = crash_set(rs);
   auto faulted = crashed;
   faulted.merge(byzantine_set(rs));
@@ -295,36 +294,34 @@ RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
   // composition on every substrate.
   const auto factory = with_faults(make_node_factory(info, rs), crashed,
                                    byzantine_set(rs), rs.byzantine);
+  // Declared after the factory, which may own deployment state (coins,
+  // keys) the nodes' protocols use: the cluster must go first.
+  const auto cluster = std::move(owned);
 
-  Cluster cluster(opts);
   const auto start = std::chrono::steady_clock::now();
-  cluster.start(factory, make_node_decoder(info, rs));
+  cluster->start(factory, make_node_decoder(info, rs));
 
   RunReport rep;
-  rep.ok = cluster.wait();
+  rep.ok = cluster->wait();
   const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
   rep.runtime_ms = rep.ok ? static_cast<double>(wall) / 1000.0 : -0.001;
   rep.nodes.resize(rs.n);
   for (NodeId i = 0; i < rs.n; ++i) {
-    const auto& m = cluster.metrics(i);
-    rep.nodes[i] = {m.msgs_sent,         m.bytes_sent,
-                    m.msgs_delivered,    m.malformed_dropped,
-                    /*terminated_at=*/-1, m.reconnects,
-                    m.catchup_frames,    m.catchup_bytes,
-                    m.downtime_us / 1000};
+    const auto& m = cluster->metrics(i);
+    rep.nodes[i] = m;
     if (!faulted.contains(i)) {
       rep.honest_bytes += m.bytes_sent;
       rep.honest_msgs += m.msgs_sent;
-      harvest_node(info, cluster.protocol(i), rs.instances, rep.outputs);
+      harvest_node(info, cluster->protocol(i), rs.instances, rep.outputs);
     }
   }
   // wait() reports faulted nodes as done (SilentProtocol and the Byzantine
   // wrappers all claim terminated()), so everything in unfinished() is an
   // honest straggler.
-  rep.unfinished = cluster.unfinished();
-  for (const auto& f : cluster.failures()) {
+  rep.unfinished = cluster->unfinished();
+  for (const auto& f : cluster->failures()) {
     rep.node_errors.push_back({f.id, f.message});
   }
   return rep;
@@ -367,12 +364,7 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
   cfg.auth_channels = rs.param("auth", 1.0) != 0.0;
   cfg.fifo_links = rs.param("fifo", 0.0) != 0.0;
   cfg.adversary = make_adversary(rs.adversary);
-  for (std::size_t e = 0; e < rs.churn.size(); ++e) {
-    for (NodeId id : churn_targets(rs, e)) {
-      cfg.churn.push_back({id, static_cast<SimTime>(rs.churn[e].down_us),
-                           static_cast<SimTime>(rs.churn[e].up_us)});
-    }
-  }
+  cfg.churn = churn_windows(rs);
 
   const auto crashed = crash_set(rs);
   // All behaviourally-faulted placements: excluded from honest traffic,
@@ -397,14 +389,11 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
   rep.honest_msgs = traffic.honest_msgs;
   rep.nodes.resize(rs.n);
   for (NodeId i = 0; i < rs.n; ++i) {
-    const auto& m = sim.node_metrics(i);
-    rep.nodes[i] = {m.msgs_sent, m.bytes_sent, m.msgs_delivered,
-                    m.malformed_dropped, m.terminated_at};
     // The simulator's restart is a deterministic pure-delay model: frames
-    // deferred past a dark window are the catch-up traffic, and each window
-    // is one rejoin.
-    rep.nodes[i].catchup_frames = m.deferred_frames;
-    rep.nodes[i].catchup_bytes = m.deferred_bytes;
+    // deferred past a dark window are its catch-up traffic (counted by the
+    // engine), and each window is one rejoin (counted below).
+    const auto& m = sim.node_metrics(i);
+    rep.nodes[i] = m;
     if (!faulted.contains(i)) {
       if (m.terminated_at < 0) rep.unfinished.push_back(i);
       harvest_node(info, sim.node(i), rs.instances, rep.outputs);
@@ -435,7 +424,7 @@ RunReport TcpRuntime::run(const ScenarioSpec& spec) {
   opts.netem = netem_from_spec(rs);
   opts.churn = churn_windows(rs);  // non-empty implies recovery mode
 
-  return run_cluster<transport::TcpCluster>(info, rs, opts);
+  return run_cluster(info, rs, std::make_unique<transport::TcpCluster>(opts));
 }
 
 RunReport UdpRuntime::run(const ScenarioSpec& spec) {
@@ -453,7 +442,7 @@ RunReport UdpRuntime::run(const ScenarioSpec& spec) {
   opts.netem = netem_from_spec(rs);
   opts.churn = churn_windows(rs);
 
-  return run_cluster<transport::UdpMesh>(info, rs, opts);
+  return run_cluster(info, rs, std::make_unique<transport::UdpMesh>(opts));
 }
 
 RunReport run_scenario(const ScenarioSpec& spec) {

@@ -9,8 +9,8 @@
 /// respectively, both optionally shaped by the in-process netem shim). All
 /// substrates run the identical protocol state machines (net::Protocol)
 /// built by the ProtocolRegistry, and all report through the same RunReport
-/// — the merge of the historical sim::RunOutcome, bench::Result, and
-/// transport::TransportMetrics mini-APIs.
+/// — the merge of the historical sim::RunOutcome and bench::Result
+/// mini-APIs, with per-node counters in the one net::NodeCounters schema.
 ///
 /// Multi-instance runs: when spec.instances > 1, every runtime wraps each
 /// node's protocol in a net::SessionMux (2^16-channel windows, concurrent or
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "net/counters.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 
@@ -28,32 +29,8 @@ namespace delphi::scenario {
 
 class ProtocolRegistry;
 
-/// Per-node counters, unified across substrates (sim::NodeMetrics and
-/// transport::TransportMetrics report the same four quantities).
-struct NodeCounters {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;  ///< framed bytes, self-delivery excluded
-  std::uint64_t msgs_delivered = 0;
-  std::uint64_t malformed_dropped = 0;
-  /// Termination time (simulated µs); -1 if never, or on the socket
-  /// substrates (which have no per-node clock worth reporting).
-  SimTime terminated_at = -1;
-  // Churn/recovery plane (all zero on churn-free runs — see SCENARIOS.md
-  // "Churn & recovery" for the metrics schema):
-  /// Link re-establishments (TCP) / socket rebinds (UDP) this node took
-  /// part in; under sim, one per restart window hitting the node.
-  std::uint64_t reconnects = 0;
-  /// Catch-up traffic carried for/by this node: replayed frames (TCP), ARQ
-  /// retransmissions (UDP), deliveries deferred past a dark window (sim).
-  /// Transport recovery overhead — NEVER added to honest_bytes/honest_msgs,
-  /// so cross-substrate parity is unaffected by churn.
-  std::uint64_t catchup_frames = 0;
-  std::uint64_t catchup_bytes = 0;
-  /// Total time this node spent dark across its restarts (ms).
-  std::uint64_t downtime_ms = 0;
-
-  bool operator==(const NodeCounters&) const = default;
-};
+/// Per-node counters, one schema on every substrate (net/counters.hpp).
+using NodeCounters = net::NodeCounters;
 
 /// A node whose thread died with an error on a socket substrate: which node
 /// and why (exception text, typically carrying errno — e.g. the typed

@@ -323,10 +323,10 @@ void Simulator::deliver(std::uint32_t slot, std::uint32_t channel) {
       if (w.id == f.to && now_ >= w.down_us && now_ < w.up_us) {
         if (f.msg != nullptr && f.from != f.to) {
           NodeMetrics& m = nodes_[f.to].metrics;
-          ++m.deferred_frames;
+          ++m.catchup_frames;
           const std::size_t seq_bytes =
               cfg_.fifo_links ? uvarint_size(f.fifo_seq) : 0;
-          m.deferred_bytes += net::framed_size(
+          m.catchup_bytes += net::framed_size(
               f.msg->wire_size_cached() + seq_bytes, channel,
               cfg_.auth_channels);
         }

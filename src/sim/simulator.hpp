@@ -51,6 +51,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/counters.hpp"
 #include "net/fifo.hpp"
 #include "net/message.hpp"
 #include "net/protocol.hpp"
@@ -93,18 +94,14 @@ struct SimConfig {
   /// Deliver per-link messages in send order (sequence numbers + reorder
   /// buffer). Costs a few bytes per frame. Required by BinAA's compact codec.
   bool fifo_links = false;
-  /// One deterministic restart: deliveries (including the start event and
-  /// self-deliveries) destined to node `id` during [down_us, up_us) are
-  /// deferred to up_us — the pure-delay restart model of the scenario churn
-  /// plane (sound under asynchrony: a restart is indistinguishable from the
-  /// network delaying everything addressed to the node). Windows for one
-  /// node must be disjoint. Empty schedule = the exact pre-churn event
-  /// order, bit for bit.
-  struct ChurnWindow {
-    NodeId id = 0;
-    SimTime down_us = 0;
-    SimTime up_us = 0;
-  };
+  /// Restart schedule. Each window is one deterministic restart:
+  /// deliveries (including the start event and self-deliveries) destined to
+  /// node `id` during [down_us, up_us) are deferred to up_us — the
+  /// pure-delay restart model of the scenario churn plane (sound under
+  /// asynchrony: a restart is indistinguishable from the network delaying
+  /// everything addressed to the node). Windows for one node must be
+  /// disjoint. Empty schedule = the exact pre-churn event order, bit for bit.
+  using ChurnWindow = net::ChurnWindow;
   std::vector<ChurnWindow> churn;
   /// Safety valve: abort the run after this many deliveries.
   std::size_t max_events = 400'000'000;
@@ -114,21 +111,11 @@ struct SimConfig {
   std::size_t max_in_flight = 50'000'000;
 };
 
-/// Per-node traffic/termination metrics.
-struct NodeMetrics {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t msgs_delivered = 0;
-  std::uint64_t malformed_dropped = 0;
-  /// Churn plane: network frames addressed to this node while it was dark,
-  /// deferred to its restart time (the simulator's catch-up traffic; zero
-  /// without a churn schedule). Bytes are framed wire bytes — already part
-  /// of the sender's bytes_sent, so never added to honest totals.
-  std::uint64_t deferred_frames = 0;
-  std::uint64_t deferred_bytes = 0;
-  /// Time the node's protocol first reported terminated(); -1 if never.
-  SimTime terminated_at = -1;
-};
+/// Per-node traffic/termination metrics. The simulator fills the traffic
+/// counters, terminated_at, and catchup_* (network frames deferred past a
+/// dark window); reconnects/downtime_ms stay zero here (they follow from the
+/// schedule, and the scenario layer derives them).
+using NodeMetrics = net::NodeCounters;
 
 /// Whole-run metrics. total_msgs / total_bytes are folded from the per-node
 /// counters when run() returns (batched accounting — the delivery hot path

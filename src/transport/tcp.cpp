@@ -1,8 +1,5 @@
 #include "transport/tcp.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -10,8 +7,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
 #include <cstring>
+#include <deque>
 #include <queue>
 #include <string>
 
@@ -20,8 +18,6 @@
 namespace delphi::transport {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// Frames gathered per writev(2): the portable IOV_MAX floor (1024 entries
 /// = up to 512 authenticated frames per syscall). The iovec array is pooled
@@ -43,8 +39,18 @@ constexpr std::size_t kStageFrameLimit = 256;
 /// invalidate iovec pointers) cannot happen.
 constexpr std::size_t kStageByteBudget = 256 * 1024;
 
+/// How long a dial attempt or a pending accept may sit without completing
+/// its hello before it is declared half-open and dropped.
+constexpr SimTime kDialTimeoutUs = 2'000'000;
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  // Best-effort: latency tuning, not correctness.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
-                         const std::uint64_t* recv = nullptr) {
+                         const std::uint64_t* recv) {
   ByteWriter w(24);
   w.u32(kHelloMagic);
   w.u32(initiator);
@@ -53,129 +59,12 @@ crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
   return crypto::hmac_sha256(key, w.data());
 }
 
-/// How long a reconnect attempt or a pending steady-state accept may sit
-/// without completing its hello before it is declared half-open and dropped.
-constexpr SimTime kDialTimeoutUs = 2'000'000;
-
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
-  }
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  // Best-effort: latency tuning, not correctness.
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-sockaddr_in loopback_addr(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-/// Bind a listening socket on 127.0.0.1 with an OS-assigned port.
-int make_listen_socket(std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind");
-  }
-  if (::listen(fd, SOMAXCONN) < 0) {
-    ::close(fd);
-    sys_fail("listen");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    sys_fail("getsockname");
-  }
-  port_out = ntohs(addr.sin_port);
-  return fd;
-}
-
-/// Bind a listening socket on 127.0.0.1 on a *specific* port — how a
-/// restarted node reclaims its published identity (peers re-dial the port
-/// they were given at cluster start; SO_REUSEADDR beats the old socket's
-/// lingering state on loopback).
-int make_listen_socket_on(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket(rebind)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(rebind port " + std::to_string(port) + ")");
-  }
-  if (::listen(fd, SOMAXCONN) < 0) {
-    ::close(fd);
-    sys_fail("listen(rebind)");
-  }
-  return fd;
-}
-
-/// Blocking connect with retry until `deadline` (peers may not be accepting
-/// yet while the cluster boots).
-int connect_with_retry(std::uint16_t port, Clock::time_point deadline) {
-  while (true) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    sockaddr_in addr = loopback_addr(port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    if (Clock::now() >= deadline) {
-      throw Error("tcp: connect deadline exceeded (port " +
-                  std::to_string(port) + ")");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-/// Write all of `data` on a (blocking) fd.
-void write_all(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t k = ::write(fd, data.data() + off, data.size() - off);
-    if (k <= 0) sys_fail("write(hello)");
-    off += static_cast<std::size_t>(k);
-  }
-}
-
-/// Full write on a non-blocking fd with a short bounded poll budget (hellos
-/// are <= 48 bytes, so a stall means the peer is gone or wedged). Returns
-/// false if it could not complete — the caller drops the connection.
-bool write_fully(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  int stalls = 0;
-  while (off < data.size()) {
-    const ssize_t k = ::write(fd, data.data() + off, data.size() - off);
-    if (k > 0) {
-      off += static_cast<std::size_t>(k);
-      continue;
-    }
-    if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) && stalls++ < 200) {
-      pollfd pf{fd, POLLOUT, 0};
-      ::poll(&pf, 1, 10);
-      continue;
-    }
-    return false;
-  }
-  return true;
+/// Write a whole hello on a freshly connected socket. A hello (<= 48 bytes)
+/// always fits an empty send buffer, so a short write means the peer is
+/// gone — the caller drops the connection.
+bool send_hello(int fd, const std::vector<std::uint8_t>& hello) {
+  return ::write(fd, hello.data(), hello.size()) ==
+         static_cast<ssize_t>(hello.size());
 }
 
 }  // namespace
@@ -198,39 +87,47 @@ std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
   return w.take();
 }
 
+std::optional<Hello> decode_hello(std::span<const std::uint8_t> bytes,
+                                  bool counted, NodeId self,
+                                  const crypto::KeyStore* keys) {
+  if (bytes.size() != hello_size(keys != nullptr, counted)) return std::nullopt;
+  ByteReader r(bytes);
+  if (r.u32() != kHelloMagic) return std::nullopt;
+  Hello h;
+  h.id = r.u32();
+  if (counted) h.recv = r.u64();
+  if (keys == nullptr) return h;
+  if (h.id >= keys->size() || h.id == self) return std::nullopt;
+  crypto::Digest received;
+  const auto tag = r.raw(crypto::kMacTagSize);
+  std::memcpy(received.data(), tag.data(), received.size());
+  const auto expected = hello_tag(keys->channel_key(self, h.id), h.id,
+                                  counted ? &h.recv : nullptr);
+  if (!crypto::digest_equal(expected, received)) return std::nullopt;
+  return h;
+}
+
 // --------------------------------------------------------------------- Node
 
-class TcpCluster::Node final : public net::Context {
+/// The stream link layer: one TCP connection per peer, brought up and
+/// re-established by the connection supervisor (node i dials every lower
+/// id, accepts every higher id), plus the replay logs, the netem holdback
+/// heap and the gathered writev data plane.
+class TcpCluster::Node final : public NodeHost {
  public:
-  Node(NodeId self, const Options& opts, const crypto::KeyStore& keys,
-       const std::vector<std::uint16_t>& ports, int listen_fd,
-       Clock::time_point epoch, std::unique_ptr<net::Protocol> protocol,
-       std::function<std::unique_ptr<net::Protocol>()> rebuild,
-       Decoder decoder, net::WakeupFd& done_wake)
-      : self_(self),
+  Node(Setup s, int listen_fd, const Options& opts,
+       const crypto::KeyStore& keys, const std::vector<std::uint16_t>& ports)
+      : NodeHost(std::move(s)),
         opts_(opts),
         keys_(keys),
         ports_(ports),
         listen_fd_(listen_fd),
-        epoch_(epoch),
-        protocol_(std::move(protocol)),
-        rebuild_(std::move(rebuild)),
-        decoder_(std::move(decoder)),
-        done_wake_(done_wake),
-        rng_(opts.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
         // Backoff jitter gets its own deterministic stream so the
         // supervisor never perturbs the protocol's rng() draws.
-        jitter_rng_(opts.seed ^ (0xc2b2ae3d27d4eb4fULL * (self + 2))),
+        jitter_rng_(opts.seed ^ (0xc2b2ae3d27d4eb4fULL * (self_ + 2))),
         recovery_(opts.recovery) {
-    peers_.resize(opts_.n);
-    for (const auto& w : opts_.churn) {
-      if (w.id == self_) windows_.push_back(w);
-    }
-    std::sort(windows_.begin(), windows_.end(),
-              [](const ChurnWindow& a, const ChurnWindow& b) {
-                return a.down_us < b.down_us;
-              });
-    for (NodeId j = 0; j < opts_.n; ++j) {
+    peers_.resize(n_);
+    for (NodeId j = 0; j < n_; ++j) {
       if (j == self_) continue;
       Peer& p = peers_[j];
       if (opts_.auth) {
@@ -255,81 +152,6 @@ class TcpCluster::Node final : public net::Context {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
-  // ---- net::Context -------------------------------------------------------
-  NodeId self() const override { return self_; }
-  std::size_t n() const override { return opts_.n; }
-
-  SimTime now() const override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now().time_since_epoch())
-        .count();
-  }
-
-  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
-    DELPHI_ASSERT(to < opts_.n, "tcp send: bad destination");
-    if (to == self_) {
-      local_.emplace_back(channel, std::move(msg));
-      return;
-    }
-    enqueue_frame(to, encode_frame_body(channel, *msg, opts_.auth));
-  }
-
-  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
-    // One serialization for all destinations: the body (length prefix +
-    // channel + payload) is immutable and shared; only per-link tags differ.
-    const SharedFrameBody body = encode_frame_body(channel, *msg, opts_.auth);
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) {
-        local_.emplace_back(channel, msg);
-      } else {
-        enqueue_frame(j, body);
-      }
-    }
-  }
-
-  void charge_compute(SimTime) override {}  // real cycles are already spent
-  Rng& rng() override { return rng_; }
-
-  // ---- lifecycle -----------------------------------------------------------
-
-  /// Entire node life: mesh setup, protocol start, event loop. Runs on the
-  /// node's own thread; never touches other nodes.
-  void run(const std::atomic<bool>& stop) {
-    try {
-      setup_mesh(stop);
-      protocol_->on_start(*this);
-      drain_local();
-      note_termination();
-      event_loop(stop);
-    } catch (const std::exception& e) {
-      error_ = e.what();
-    }
-    if (have_snapshot_) {
-      // Stopped (or died) while dark: rebuild the protocol from its
-      // snapshot so outputs stay harvestable after the join.
-      try {
-        restore_protocol();
-      } catch (const std::exception& e) {
-        if (error_.empty()) error_ = e.what();
-      }
-    }
-    // A thread that exits un-terminated is dead for good; wake wait() so it
-    // can fail fast instead of sleeping out the whole deadline.
-    exited.store(true, std::memory_order_release);
-    done_wake_.signal();
-  }
-
-  /// Interrupt this node's (possibly indefinite) poll. Any thread.
-  void wake() noexcept { wake_.signal(); }
-
-  std::atomic<bool> done{false};
-  /// This node's thread has returned from run() (error or stop).
-  std::atomic<bool> exited{false};
-
-  net::Protocol& protocol() { return *protocol_; }
-  const TransportMetrics& metrics() const { return metrics_; }
-  const std::string& error() const { return error_; }
-
  private:
   /// One queued outbound frame: the shared destination-independent body and
   /// this link's MAC tag (meaningful only on authenticated links).
@@ -352,8 +174,6 @@ class TcpCluster::Node final : public net::Context {
     bool blocked = false;
 
     // ---- recovery mode only (inert when Options::recovery is off) ----
-    /// Frames ever enqueued on this link (== log_start + log.size()).
-    std::uint64_t sent_count = 0;
     /// Sequence number of log.front(); earlier frames fell off the budget.
     std::uint64_t log_start = 0;
     /// Bounded replay log of sent frames (drop-oldest past the byte
@@ -364,8 +184,8 @@ class TcpCluster::Node final : public net::Context {
     /// Complete frames parsed from this peer across all link incarnations
     /// (the cumulative ack our hellos carry).
     std::uint64_t recv_count = 0;
-    // Re-dial state machine (this side dials iff self > peer id, mirroring
-    // the bring-up rule).
+
+    // ---- dial state machine (this side dials iff self > peer id) ----
     int dial_fd = -1;
     bool dial_hello_sent = false;
     std::vector<std::uint8_t> dial_buf;  ///< reply-hello bytes so far
@@ -375,7 +195,7 @@ class TcpCluster::Node final : public net::Context {
   };
 
   /// An accepted connection whose hello has not fully arrived; dropped at
-  /// `deadline` (half-open / slow-loris defense on the steady-state path).
+  /// `deadline` (half-open / slow-loris defense).
   struct PendingAccept {
     int fd = -1;
     std::vector<std::uint8_t> buf;
@@ -396,18 +216,17 @@ class TcpCluster::Node final : public net::Context {
     }
   };
 
-  SimTime now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 epoch_)
-        .count();
-  }
+  /// What a pollfds_ entry (beyond the wakeup fd) refers to.
+  enum class FdKind : std::uint8_t { kPeer, kDial, kListen, kAccept };
+  struct PollOwner {
+    FdKind kind;
+    NodeId idx;  ///< peer id (kPeer/kDial) or accepts_ index (kAccept)
+  };
 
-  void enqueue_frame(NodeId to, const SharedFrameBody& body) {
+  // ---- link hooks ---------------------------------------------------------
+
+  void enqueue(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
-    // Counted at enqueue (matches the simulator's send-time accounting and
-    // the pre-overhaul data plane), even if the link has died since.
-    ++metrics_.msgs_sent;
-    metrics_.bytes_sent += frame_wire_size(*body, p.mac.has_value());
     if (!recovery_ && p.fd < 0) {
       return;  // link closed for good: bytes would never reach the wire
     }
@@ -421,8 +240,8 @@ class TcpCluster::Node final : public net::Context {
       const auto v =
           p.shim.on_send(now, frame_wire_size(*body, p.mac.has_value()));
       // Delay-only on TCP (drop verdicts ignored — see Options::netem): a
-      // future release parks the frame on the holdback heap; the event loop
-      // moves it to the outq when due.
+      // future release parks the frame on the holdback heap; serve() moves
+      // it to the outq when due.
       if (v.release_us > now) {
         held_.push({v.release_us, v.order, to, std::move(pf)});
         return;
@@ -431,308 +250,116 @@ class TcpCluster::Node final : public net::Context {
     p.outq.push_back(std::move(pf));
   }
 
-  /// Move every held frame whose release time has arrived onto its link's
-  /// output queue, in (release, order) order — which realizes the burst
-  /// adversary's within-window LIFO on a real stream.
-  void release_held(SimTime now) {
-    while (!held_.empty() && held_.top().release <= now) {
-      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
-      held_.pop();
-      Peer& p = peers_[h.to];
-      if (p.fd >= 0) p.outq.push_back(std::move(h.frame));
+  /// Bring the mesh up under the connection supervisor: every lower-id link
+  /// starts due for a dial, higher ids dial us, and the node returns (so
+  /// the host starts its protocol) once all of its own links are up. Links
+  /// are not read until then.
+  void bring_up(const std::atomic<bool>& stop) override {
+    for (NodeId j = 0; j < self_; ++j) peers_[j].redial_at = 0;
+    const SimTime deadline = opts_.timeout_ms * 1000;
+    while (!mesh_complete()) {
+      const bool stopping = stop.load(std::memory_order_relaxed);
+      if (stopping || now_us() >= deadline) {
+        // Last pass: take in the connections and hellos that already
+        // reached this node before giving up on the mesh.
+        serve(0);
+        if (mesh_complete()) break;
+        throw Error(stopping ? "tcp: mesh setup interrupted"
+                             : "tcp: mesh setup timeout");
+      }
+      serve(deadline);
+    }
+    mesh_up_ = true;
+    if (!recovery_) {
+      // Legacy links are never re-established: the listen socket is no
+      // longer serviced and stray connections are dropped.
+      for (auto& pa : accepts_) ::close(pa.fd);
+      accepts_.clear();
     }
   }
 
-  // ---- recovery plane -----------------------------------------------------
+  /// One pass of the event loop: supervise connections, write everything
+  /// writable, then block in poll(2) until socket activity, a wakeup
+  /// signal, or the next timer (netem release, churn transition, dial or
+  /// handshake deadline) — none at all in the churn-free steady state.
+  void serve(SimTime wake_at) override {
+    const bool supervise = recovery_ || !mesh_up_;
+    if (supervise) supervisor_tick();
+    if (!held_.empty()) release_held(now_us());
+    flush_pending();
 
-  /// Append a sent frame to the link's bounded replay log (drop-oldest past
-  /// the byte budget — graceful degradation while the peer is down).
-  void log_frame(Peer& p, const PendingFrame& pf) {
-    const bool auth = p.mac.has_value();
-    ++p.sent_count;
-    p.log.push_back(pf);
-    p.log_bytes += frame_wire_size(*pf.body, auth);
-    while (p.log_bytes > opts_.replay_budget_bytes && !p.log.empty()) {
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
-      p.log.pop_front();
-      ++p.log_start;
-    }
-  }
-
-  /// Validate a recovery hello claiming to come from `expect`; extracts the
-  /// sender's receive count on success.
-  bool check_hello(std::span<const std::uint8_t> buf, NodeId expect,
-                   std::uint64_t& recv_out) const {
-    ByteReader r(buf);
-    if (r.u32() != kHelloMagic) return false;
-    if (r.u32() != expect) return false;
-    recv_out = r.u64();
-    if (!opts_.auth) return true;
-    crypto::Digest received;
-    const auto tag = r.raw(crypto::kMacTagSize);
-    std::memcpy(received.data(), tag.data(), received.size());
-    return crypto::digest_equal(
-        hello_tag(keys_.channel_key(self_, expect), expect, &recv_out),
-        received);
-  }
-
-  static NodeId claimed_id(std::span<const std::uint8_t> buf) {
-    ByteReader r(buf);
-    r.u32();  // magic (checked later by check_hello)
-    return r.u32();
-  }
-
-  /// Arm the next dial attempt for a lower-id peer: exponential backoff
-  /// (2 ms base, doubling per failure, 250 ms cap) plus deterministic
-  /// jitter from the node's seeded jitter stream. Higher-id peers re-dial
-  /// us, so for them this is a no-op. Gives up once the next attempt would
-  /// land past the cluster deadline (capped retries).
-  void schedule_redial(NodeId j, Peer& p, bool reset_backoff) {
-    if (j >= self_) return;  // that side initiates (same rule as bring-up)
-    if (reset_backoff) p.redial_attempts = 0;
-    constexpr SimTime kBase = 2'000;
-    constexpr SimTime kCap = 250'000;
-    SimTime delay =
-        std::min(kCap, kBase << std::min<std::uint32_t>(p.redial_attempts, 7));
-    delay += static_cast<SimTime>(
-        jitter_rng_.below(static_cast<std::uint64_t>(delay / 4 + 1)));
-    const SimTime at = now_us() + delay;
-    if (at > opts_.timeout_ms * 1'000) {
-      p.redial_at = -1;  // nothing past the run deadline can matter
-      return;
-    }
-    p.redial_at = at;
-  }
-
-  /// Connection supervisor pass: abort stalled dial attempts, start due
-  /// re-dials, and drop half-open pending accepts.
-  void supervisor_tick() {
-    const SimTime now = now_us();
-    for (NodeId j = 0; j < self_; ++j) {
+    pollfds_.clear();
+    owners_.clear();
+    pollfds_.push_back({wake_.fd(), POLLIN, 0});
+    owners_.push_back({FdKind::kPeer, self_});  // placeholder, aligned
+    for (NodeId j = 0; j < n_; ++j) {
       Peer& p = peers_[j];
-      if (p.dial_fd >= 0 && now >= p.dial_deadline) {
-        // Half-open: the connect or the hello reply never completed.
-        fail_dial(j, p);
+      if (p.fd >= 0 && mesh_up_) {
+        short events = POLLIN;
+        if (p.blocked && !p.outq.empty()) events |= POLLOUT;
+        pollfds_.push_back({p.fd, events, 0});
+        owners_.push_back({FdKind::kPeer, j});
       }
-      if (p.fd < 0 && p.dial_fd < 0 && p.redial_at >= 0 &&
-          now >= p.redial_at) {
-        start_dial(j, p);
-      }
-    }
-    for (std::size_t a = 0; a < accepts_.size();) {
-      if (now >= accepts_[a].deadline) {
-        ::close(accepts_[a].fd);
-        accepts_[a] = std::move(accepts_.back());
-        accepts_.pop_back();
-      } else {
-        ++a;
+      if (p.dial_fd >= 0) {
+        // Writable = connect finished; readable = reply-hello bytes.
+        pollfds_.push_back(
+            {p.dial_fd, p.dial_hello_sent ? short(POLLIN) : short(POLLOUT),
+             0});
+        owners_.push_back({FdKind::kDial, j});
       }
     }
-  }
-
-  /// Begin one non-blocking reconnect attempt to a lower-id peer.
-  void start_dial(NodeId j, Peer& p) {
-    p.redial_at = -1;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket(redial)");
-    set_nonblocking(fd);
-    sockaddr_in addr = loopback_addr(ports_[j]);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
-        errno != EINPROGRESS) {
-      ::close(fd);
-      ++p.redial_attempts;
-      schedule_redial(j, p, false);
-      return;
+    if (supervise && listen_fd_ >= 0) {
+      pollfds_.push_back({listen_fd_, POLLIN, 0});
+      owners_.push_back({FdKind::kListen, 0});
     }
-    p.dial_fd = fd;
-    p.dial_hello_sent = false;
-    p.dial_buf.clear();
-    p.dial_deadline = now_us() + kDialTimeoutUs;
-  }
-
-  /// Advance a reconnect attempt: finish the connect, send our hello (with
-  /// our receive count for this link), then read and verify the peer's
-  /// reply before adopting the socket.
-  void progress_dial(NodeId j, Peer& p) {
-    if (p.dial_fd < 0) return;
-    if (!p.dial_hello_sent) {
-      int err = 0;
-      socklen_t len = sizeof(err);
-      ::getsockopt(p.dial_fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        fail_dial(j, p);
-        return;
-      }
-      if (opts_.nodelay) set_nodelay(p.dial_fd);
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      const std::uint64_t recv = p.recv_count;
-      if (!write_fully(p.dial_fd, encode_hello(self_, key, recv))) {
-        fail_dial(j, p);
-        return;
-      }
-      p.dial_hello_sent = true;
-      return;
+    for (std::size_t a = 0; a < accepts_.size(); ++a) {
+      pollfds_.push_back({accepts_[a].fd, POLLIN, 0});
+      owners_.push_back({FdKind::kAccept, static_cast<NodeId>(a)});
     }
-    const std::size_t want = hello_size(opts_.auth, true);
-    while (p.dial_buf.size() < want) {
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(p.dial_fd, tmp, want - p.dial_buf.size());
-      if (k > 0) {
-        p.dial_buf.insert(p.dial_buf.end(), tmp, tmp + k);
-        continue;
-      }
-      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      fail_dial(j, p);  // EOF or hard error before the full reply
-      return;
-    }
-    std::uint64_t peer_recv = 0;
-    if (!check_hello(p.dial_buf, j, peer_recv)) {
-      fail_dial(j, p);
-      return;
-    }
-    const int fd = p.dial_fd;
-    p.dial_fd = -1;
-    p.dial_hello_sent = false;
-    p.dial_buf.clear();
-    adopt_link(j, p, fd, peer_recv);
-  }
 
-  void fail_dial(NodeId j, Peer& p) {
-    abort_dial(p);
-    ++p.redial_attempts;
-    schedule_redial(j, p, false);
-  }
-
-  void abort_dial(Peer& p) {
-    if (p.dial_fd >= 0) {
-      ::close(p.dial_fd);
-      p.dial_fd = -1;
+    if (::poll(pollfds_.data(), pollfds_.size(), poll_timeout(wake_at)) < 0) {
+      if (errno == EINTR) return;
+      sys_fail("poll");
     }
-    p.dial_hello_sent = false;
-    p.dial_buf.clear();
-  }
+    if (pollfds_[0].revents != 0) wake_.drain();  // stop re-checked by caller
 
-  /// Steady-state accept path: a known higher-id peer is re-establishing
-  /// its link (it restarted, or we did and it noticed the EOF). Hellos
-  /// complete asynchronously in progress_accepts() under a deadline.
-  void accept_reconnects() {
-    while (true) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;
-      if (opts_.nodelay) set_nodelay(fd);
-      set_nonblocking(fd);
-      accepts_.push_back({fd, {}, now_us() + kDialTimeoutUs});
-    }
-  }
-
-  void progress_accepts() {
-    const std::size_t want = hello_size(opts_.auth, true);
-    for (std::size_t a = 0; a < accepts_.size();) {
-      PendingAccept& pa = accepts_[a];
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(pa.fd, tmp, want - pa.buf.size());
-      if (k > 0) pa.buf.insert(pa.buf.end(), tmp, tmp + k);
-      const bool dead =
-          k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-      bool settled = false;
-      if (!dead && pa.buf.size() == want) {
-        settled = true;
-        const NodeId who = claimed_id(pa.buf);
-        std::uint64_t peer_recv = 0;
-        if (who > self_ && who < opts_.n &&
-            check_hello(pa.buf, who, peer_recv)) {
-          // Reply with our receive count; the dialer replays its
-          // undelivered suffix symmetrically once it has read it.
-          Peer& p = peers_[who];
-          const crypto::Key* key =
-              opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-          const std::uint64_t recv = p.recv_count;
-          if (write_fully(pa.fd, encode_hello(self_, key, recv))) {
-            adopt_link(who, p, pa.fd, peer_recv);
-          } else {
-            ::close(pa.fd);
+    for (std::size_t i = 1; i < pollfds_.size(); ++i) {
+      const PollOwner owner = owners_[i];
+      switch (owner.kind) {
+        case FdKind::kPeer: {
+          Peer& p = peers_[owner.idx];
+          if (p.fd < 0) break;
+          if (pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) {
+            read_peer(owner.idx, p);
           }
-        } else {
-          ::close(pa.fd);  // stranger, forger, or nonsense: reject
+          if (p.fd >= 0 && (pollfds_[i].revents & POLLOUT)) {
+            p.blocked = false;
+            flush_peer(owner.idx, p);
+          }
+          drain_local();
+          break;
         }
+        case FdKind::kDial:
+          if (pollfds_[i].revents != 0) {
+            progress_dial(owner.idx, peers_[owner.idx]);
+          }
+          break;
+        case FdKind::kListen:
+          if (pollfds_[i].revents & POLLIN) accept_connections();
+          break;
+        case FdKind::kAccept:
+          // Handled wholesale below: progress_accepts() compacts the
+          // vector, which would invalidate the owner indices here.
+          break;
       }
-      if (dead) ::close(pa.fd);
-      if (dead || settled) {
-        accepts_[a] = std::move(accepts_.back());
-        accepts_.pop_back();
-      } else {
-        ++a;
-      }
     }
+    if (!accepts_.empty()) progress_accepts();
+    note_termination();
   }
 
-  /// Install a freshly handshaken socket as peer j's link and replay the
-  /// log suffix the peer's hello says it is missing. A still-open old fd is
-  /// replaced (reconnect-during-handshake race: the newest handshake wins).
-  void adopt_link(NodeId j, Peer& p, int fd, std::uint64_t peer_recv) {
-    if (p.fd >= 0) ::close(p.fd);
-    p.fd = fd;
-    p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-    p.outq.clear();
-    p.front_written = 0;
-    p.blocked = false;
-    p.redial_at = -1;
-    drop_held_for(j);
-    ++metrics_.reconnects;
-    replay_to(p, peer_recv);
-  }
-
-  /// Remove netem-held frames destined to j: they are in the replay log,
-  /// and the fresh handshake replays them — releasing the held copies too
-  /// would deliver duplicates.
-  void drop_held_for(NodeId j) {
-    if (held_.empty()) return;
-    std::vector<HeldFrame> keep;
-    keep.reserve(held_.size());
-    while (!held_.empty()) {
-      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
-      held_.pop();
-      if (h.to != j) keep.push_back(std::move(h));
-    }
-    for (auto& h : keep) held_.push(std::move(h));
-  }
-
-  /// Queue the log suffix beyond the peer's cumulative receive count.
-  /// Counted as catch-up traffic, never as new sends — honest-byte parity
-  /// across substrates is preserved by construction.
-  void replay_to(Peer& p, std::uint64_t peer_recv) {
-    const bool auth = p.mac.has_value();
-    while (!p.log.empty() && p.log_start < peer_recv) {
-      // The hello's receive count acknowledges this prefix: prune it.
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
-      p.log.pop_front();
-      ++p.log_start;
-    }
-    for (const PendingFrame& pf : p.log) {
-      ++metrics_.catchup_frames;
-      metrics_.catchup_bytes += frame_wire_size(*pf.body, auth);
-      p.outq.push_back(pf);
-    }
-  }
-
-  /// Drive this node's own restart schedule.
-  void churn_tick() {
-    if (!down_ && next_window_ < windows_.size() &&
-        now_us() >= windows_[next_window_].down_us) {
-      go_down(windows_[next_window_].up_us);
-      ++next_window_;
-    }
-    if (down_ && now_us() >= up_at_) come_up();
-  }
-
-  /// The node goes dark: close every socket (peers observe EOF / refused
-  /// connections), snapshot a restartable protocol, freeze until up_at.
-  void go_down(SimTime up_at) {
-    down_ = true;
-    up_at_ = up_at;
-    down_since_ = now_us();
-    for (NodeId j = 0; j < opts_.n; ++j) {
+  /// Dark: close every socket (peers observe EOF / refused connections).
+  void close_links() override {
+    for (NodeId j = 0; j < n_; ++j) {
       if (j == self_) continue;
       Peer& p = peers_[j];
       if (p.fd >= 0) {
@@ -753,350 +380,56 @@ class TcpCluster::Node final : public net::Context {
       listen_fd_ = -1;
     }
     held_ = {};  // held frames are all in the replay logs already
-    // A RestartableProtocol is serialized and destroyed — the rejoin
-    // rebuilds it from bytes, proving the snapshot path end to end. Other
-    // protocols keep their in-memory state across the dark window and rely
-    // on message-level redundancy to catch up.
-    if (rebuild_) {
-      if (auto* rp =
-              dynamic_cast<net::RestartableProtocol*>(protocol_.get())) {
-        ByteWriter w(256);
-        rp->snapshot(w);
-        snapshot_ = w.take();
-        have_snapshot_ = true;
-        protocol_.reset();
-      }
-    }
   }
 
-  /// Restart: rebind the listen port, restore the protocol, re-dial every
-  /// lower id (higher ids re-dial us once they see the port is back).
-  void come_up() {
-    down_ = false;
-    metrics_.downtime_us += static_cast<std::uint64_t>(now_us() - down_since_);
-    listen_fd_ = make_listen_socket_on(ports_[self_]);
-    set_nonblocking(listen_fd_);
-    if (have_snapshot_) restore_protocol();
+  /// Restart: rebind the published listen port and re-dial every lower id
+  /// (higher ids re-dial us once they see the port is back).
+  void reopen_links() override {
+    std::uint16_t port = ports_[self_];
+    listen_fd_ = bind_tcp_listener(port);
     for (NodeId j = 0; j < self_; ++j) {
       peers_[j].redial_attempts = 0;
       peers_[j].redial_at = now_us();  // dial now, back off on failure
     }
-    drain_local();
-    note_termination();
   }
 
-  void restore_protocol() {
-    protocol_ = rebuild_();
-    auto* rp = dynamic_cast<net::RestartableProtocol*>(protocol_.get());
-    DELPHI_ASSERT(rp != nullptr, "tcp restart: factory lost snapshot support");
-    ByteReader r(snapshot_);
-    rp->restore(r);
-    snapshot_.clear();
-    have_snapshot_ = false;
-  }
+  // ---- data plane ---------------------------------------------------------
 
-  /// The dark window: every socket is closed; nothing to do but wait for
-  /// the restart clock or the cluster stop signal (re-checked by the
-  /// caller's loop right after we return).
-  void park_dark() {
-    const SimTime ms = (up_at_ - now_us()) / 1000 + 1;
-    pollfd pf{wake_.fd(), POLLIN, 0};
-    ::poll(&pf, 1, static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000)));
-    if (pf.revents != 0) wake_.drain();
-  }
-
-  /// Establish the full mesh: connect to every lower id, accept from every
-  /// higher id, exchanging an 8-byte hello to bind fds to node ids.
-  void setup_mesh(const std::atomic<bool>& stop) {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-    for (NodeId j = 0; j < self_; ++j) {
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      while (true) {
-        const int fd = connect_with_retry(ports_[j], deadline);
-        if (!recovery_) {
-          write_all(fd, encode_hello(self_, key));
-          if (opts_.nodelay) set_nodelay(fd);
-          set_nonblocking(fd);
-          peers_[j].fd = fd;
-          break;
-        }
-        // Recovery handshakes are two-way and the peer may churn dark in
-        // the middle of one — a dead socket means "connect again", not a
-        // mesh failure.
-        if (bringup_handshake(j, fd, key, deadline)) break;
-      }
-    }
-
-    // Accept the n - 1 - self higher-id initiators.
-    set_nonblocking(listen_fd_);
-    std::size_t expected = opts_.n - 1 - self_;
-    struct PendingHello {
-      int fd;
-      std::vector<std::uint8_t> buf;
-    };
-    std::vector<PendingHello> pending;
-    while (expected > 0 && !stop.load(std::memory_order_relaxed)) {
-      if (Clock::now() >= deadline) throw Error("tcp: mesh setup timeout");
-      std::vector<pollfd> fds;
-      fds.push_back({wake_.fd(), POLLIN, 0});
-      fds.push_back({listen_fd_, POLLIN, 0});
-      for (const auto& ph : pending) fds.push_back({ph.fd, POLLIN, 0});
-      ::poll(fds.data(), fds.size(), 10);
-      if (fds[0].revents != 0) wake_.drain();  // stop re-checked above
-
-      // New connections.
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (opts_.nodelay) set_nodelay(fd);
-        set_nonblocking(fd);
-        pending.push_back({fd, {}});
-      }
-      // Progress hellos.
-      const std::size_t want = hello_size(opts_.auth, recovery_);
-      for (std::size_t i = 0; i < pending.size();) {
-        auto& ph = pending[i];
-        std::uint8_t tmp[64];
-        const ssize_t k = ::read(ph.fd, tmp, want - ph.buf.size());
-        if (k > 0) {
-          ph.buf.insert(ph.buf.end(), tmp, tmp + k);
-        }
-        if (ph.buf.size() == want) {
-          ByteReader r(ph.buf);
-          const std::uint32_t magic = r.u32();
-          const NodeId who = r.u32();
-          bool genuine = magic == kHelloMagic && who > self_ &&
-                         who < opts_.n && peers_[who].fd < 0;
-          if (genuine && recovery_) {
-            std::uint64_t peer_recv = 0;
-            genuine = check_hello(ph.buf, who, peer_recv);
-            if (genuine) {
-              // Two-way: reply with our receive count (zero at bring-up);
-              // the dialer reads it before sending any frame.
-              const crypto::Key* key =
-                  opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-              const std::uint64_t recv = peers_[who].recv_count;
-              genuine = write_fully(ph.fd, encode_hello(self_, key, recv));
-            }
-          } else if (genuine && opts_.auth) {
-            crypto::Digest received;
-            auto tag = r.raw(crypto::kMacTagSize);
-            std::memcpy(received.data(), tag.data(), received.size());
-            const auto expected_tag =
-                hello_tag(keys_.channel_key(self_, who), who);
-            genuine = crypto::digest_equal(expected_tag, received);
-          }
-          if (genuine) {
-            peers_[who].fd = ph.fd;
-            --expected;
-          } else {
-            ::close(ph.fd);  // stranger, forger, or duplicate: reject
-          }
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else if (k == 0) {  // peer hung up mid-hello
-          ::close(ph.fd);
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (const auto& ph : pending) ::close(ph.fd);
-    if (expected > 0) throw Error("tcp: mesh setup interrupted");
-  }
-
-  /// One bring-up attempt of the two-way recovery hello on a freshly
-  /// connected (still blocking) socket. Returns false with the socket
-  /// closed if the peer died mid-handshake — the caller reconnects; throws
-  /// only on the cluster-wide setup deadline.
-  bool bringup_handshake(NodeId j, int fd, const crypto::Key* key,
-                         Clock::time_point deadline) {
-    const std::uint64_t recv = peers_[j].recv_count;
-    const auto hello = encode_hello(self_, key, recv);
-    std::size_t woff = 0;
-    while (woff < hello.size()) {
-      const ssize_t k = ::write(fd, hello.data() + woff, hello.size() - woff);
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      woff += static_cast<std::size_t>(k);
-    }
-    std::vector<std::uint8_t> buf;
-    const std::size_t want = hello_size(opts_.auth, true);
-    while (buf.size() < want) {
-      if (Clock::now() >= deadline) {
-        ::close(fd);
-        throw Error("tcp: mesh setup timeout (hello reply)");
-      }
-      pollfd pf{fd, POLLIN, 0};
-      ::poll(&pf, 1, 10);
-      if (pf.revents == 0) continue;
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(fd, tmp, want - buf.size());
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      buf.insert(buf.end(), tmp, tmp + k);
-    }
-    std::uint64_t peer_recv = 0;
-    if (!check_hello(buf, j, peer_recv)) {
-      ::close(fd);
-      return false;
-    }
-    if (opts_.nodelay) set_nodelay(fd);
-    set_nonblocking(fd);
-    peers_[j].fd = fd;
-    return true;
-  }
-
-  /// Deliver every queued self-message (handlers may enqueue more).
-  void drain_local() {
-    while (!local_.empty()) {
-      auto [channel, msg] = std::move(local_.front());
-      local_.pop_front();
-      dispatch(self_, channel, *msg);
+  /// Move every held frame whose release time has arrived onto its link's
+  /// output queue, in (release, order) order — which realizes the burst
+  /// adversary's within-window LIFO on a real stream.
+  void release_held(SimTime now) {
+    while (!held_.empty() && held_.top().release <= now) {
+      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
+      held_.pop();
+      Peer& p = peers_[h.to];
+      if (p.fd >= 0) p.outq.push_back(std::move(h.frame));
     }
   }
 
-  void dispatch(NodeId from, std::uint32_t channel,
-                const net::MessageBody& body) {
-    try {
-      protocol_->on_message(*this, from, channel, body);
-      ++metrics_.msgs_delivered;
-    } catch (const Error&) {
-      ++metrics_.malformed_dropped;
-    }
-  }
-
-  void note_termination() {
-    if (protocol_ == nullptr) return;  // dark window of a snapshot restart
-    if (!done.load(std::memory_order_relaxed) && protocol_->terminated()) {
-      done.store(true, std::memory_order_release);
-      done_wake_.signal();  // wait() blocks on this instead of a timer
-    }
-  }
-
-  /// Event-driven main loop: write everything writable, then block in
-  /// poll(2) — without a timeout — until socket activity or a wakeup
-  /// signal. No sleep ticks anywhere.
-  void event_loop(const std::atomic<bool>& stop) {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (recovery_) {
-        churn_tick();
-        if (down_) {
-          park_dark();
-          continue;
-        }
-        supervisor_tick();
-      }
-      if (!held_.empty()) release_held(now_us());
-      flush_pending();
-
-      pollfds_.clear();
-      owners_.clear();
-      pollfds_.push_back({wake_.fd(), POLLIN, 0});
-      owners_.push_back({FdKind::kPeer, self_});  // placeholder, aligned
-      for (NodeId j = 0; j < opts_.n; ++j) {
-        Peer& p = peers_[j];
-        if (p.fd >= 0) {
-          short events = POLLIN;
-          if (p.blocked && !p.outq.empty()) events |= POLLOUT;
-          pollfds_.push_back({p.fd, events, 0});
-          owners_.push_back({FdKind::kPeer, j});
-        }
-        if (p.dial_fd >= 0) {
-          // Writable = connect finished; readable = reply-hello bytes.
-          pollfds_.push_back({p.dial_fd,
-                              p.dial_hello_sent ? short(POLLIN)
-                                                : short(POLLOUT),
-                              0});
-          owners_.push_back({FdKind::kDial, j});
-        }
-      }
-      if (recovery_ && listen_fd_ >= 0) {
-        pollfds_.push_back({listen_fd_, POLLIN, 0});
-        owners_.push_back({FdKind::kListen, 0});
-      }
-      for (std::size_t a = 0; a < accepts_.size(); ++a) {
-        pollfds_.push_back({accepts_[a].fd, POLLIN, 0});
-        owners_.push_back({FdKind::kAccept, static_cast<NodeId>(a)});
-      }
-
-      if (::poll(pollfds_.data(), pollfds_.size(), poll_timeout()) < 0) {
-        if (errno == EINTR) continue;
-        sys_fail("poll");
-      }
-      if (pollfds_[0].revents != 0) wake_.drain();  // stop re-checked above
-
-      for (std::size_t i = 1; i < pollfds_.size(); ++i) {
-        const PollOwner owner = owners_[i];
-        switch (owner.kind) {
-          case FdKind::kPeer: {
-            Peer& p = peers_[owner.idx];
-            if (p.fd < 0) break;
-            if (pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-              read_peer(owner.idx, p);
-            }
-            if (p.fd >= 0 && (pollfds_[i].revents & POLLOUT)) {
-              p.blocked = false;
-              flush_peer(owner.idx, p);
-            }
-            drain_local();
-            break;
-          }
-          case FdKind::kDial:
-            if (pollfds_[i].revents != 0) {
-              progress_dial(owner.idx, peers_[owner.idx]);
-            }
-            break;
-          case FdKind::kListen:
-            if (pollfds_[i].revents & POLLIN) accept_reconnects();
-            break;
-          case FdKind::kAccept:
-            // Handled wholesale below: progress_accepts() compacts the
-            // vector, which would invalidate the owner indices here.
-            break;
-        }
-      }
-      if (recovery_ && !accepts_.empty()) progress_accepts();
-      note_termination();
-    }
-  }
-
-  /// Next forced poll wakeup: netem releases, our own churn transitions,
-  /// due re-dials, dial/accept handshake deadlines. -1 (block forever)
-  /// when none apply — the common, churn-free steady state.
-  int poll_timeout() const {
-    SimTime at = -1;
+  /// Next forced poll wakeup: the host's `wake_at`, netem releases, due
+  /// dials, dial/accept handshake deadlines. -1 (block forever) when none
+  /// apply — the common, churn-free steady state.
+  int poll_timeout(SimTime wake_at) const {
+    SimTime at = wake_at;
     const auto consider = [&at](SimTime t) {
       if (t >= 0 && (at < 0 || t < at)) at = t;
     };
     if (!held_.empty()) consider(held_.top().release);
-    if (recovery_) {
-      if (next_window_ < windows_.size()) {
-        consider(windows_[next_window_].down_us);
-      }
+    if (recovery_ || !mesh_up_) {
       for (const Peer& p : peers_) {
         consider(p.redial_at);
         if (p.dial_fd >= 0) consider(p.dial_deadline);
       }
       for (const auto& pa : accepts_) consider(pa.deadline);
     }
-    if (at < 0) return -1;
-    const SimTime ms = (at - now_us()) / 1000 + 1;
-    return static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000));
+    return poll_ms(at);
   }
 
   /// Opportunistic write pass: one gathered writev per peer with pending
   /// frames (peers that already hit EAGAIN wait for POLLOUT instead).
   void flush_pending() {
-    for (NodeId j = 0; j < opts_.n; ++j) {
+    for (NodeId j = 0; j < n_; ++j) {
       Peer& p = peers_[j];
       if (p.fd >= 0 && !p.blocked && !p.outq.empty()) flush_peer(j, p);
     }
@@ -1122,12 +455,11 @@ class TcpCluster::Node final : public net::Context {
     while (true) {
       std::optional<FrameView> f;
       try {
-        // Zero-copy: the view borrows the parser's buffer; the decoder
-        // reads straight out of it, no per-frame payload vector.
+        // Zero-copy: the view borrows the parser's buffer.
         f = p.parser.next_view();
       } catch (const Error&) {
         // Framing/MAC broken: the byte stream is unrecoverable.
-        ++metrics_.malformed_dropped;
+        ++counters_.malformed_dropped;
         close_link(from, p);
         return;
       }
@@ -1136,16 +468,7 @@ class TcpCluster::Node final : public net::Context {
       // hellos carry, decodable payload or not (the sender counts frames
       // written the same way).
       if (recovery_) ++p.recv_count;
-      try {
-        ByteReader r(f->payload);
-        const net::MessagePtr msg = decoder_(f->channel, r);
-        r.expect_exhausted();
-        dispatch(from, f->channel, *msg);
-      } catch (const Error&) {
-        ++metrics_.malformed_dropped;  // bad payload only: link stays up
-      }
-      drain_local();
-      note_termination();
+      deliver(from, f->channel, f->payload);
     }
   }
 
@@ -1247,7 +570,7 @@ class TcpCluster::Node final : public net::Context {
     p.outq.clear();
     p.front_written = 0;
     p.blocked = false;
-    if (recovery_ && !down_) {
+    if (recovery_) {
       // Supervisor takes over: fresh parser for the next incarnation and,
       // when we are the link's initiator, a backoff-paced re-dial.
       p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
@@ -1255,32 +578,285 @@ class TcpCluster::Node final : public net::Context {
     }
   }
 
-  /// What a pollfds_ entry (beyond the wakeup fd) refers to.
-  enum class FdKind : std::uint8_t { kPeer, kDial, kListen, kAccept };
-  struct PollOwner {
-    FdKind kind;
-    NodeId idx;  ///< peer id (kPeer/kDial) or accepts_ index (kAccept)
-  };
+  // ---- recovery plane -----------------------------------------------------
 
-  NodeId self_;
+  /// Append a sent frame to the link's bounded replay log (drop-oldest past
+  /// the byte budget — graceful degradation while the peer is down).
+  void log_frame(Peer& p, const PendingFrame& pf) {
+    const bool auth = p.mac.has_value();
+    p.log.push_back(pf);
+    p.log_bytes += frame_wire_size(*pf.body, auth);
+    while (p.log_bytes > opts_.replay_budget_bytes && !p.log.empty()) {
+      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
+      p.log.pop_front();
+      ++p.log_start;
+    }
+  }
+
+  /// Queue the log suffix beyond the peer's cumulative receive count.
+  /// Counted as catch-up traffic, never as new sends — honest-byte parity
+  /// across substrates is preserved by construction.
+  void replay_to(Peer& p, std::uint64_t peer_recv) {
+    const bool auth = p.mac.has_value();
+    while (!p.log.empty() && p.log_start < peer_recv) {
+      // The hello's receive count acknowledges this prefix: prune it.
+      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
+      p.log.pop_front();
+      ++p.log_start;
+    }
+    for (const PendingFrame& pf : p.log) {
+      ++counters_.catchup_frames;
+      counters_.catchup_bytes += frame_wire_size(*pf.body, auth);
+      p.outq.push_back(pf);
+    }
+  }
+
+  /// Remove netem-held frames destined to j: they are in the replay log,
+  /// and the fresh handshake replays them — releasing the held copies too
+  /// would deliver duplicates.
+  void drop_held_for(NodeId j) {
+    if (held_.empty()) return;
+    std::vector<HeldFrame> keep;
+    keep.reserve(held_.size());
+    while (!held_.empty()) {
+      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
+      held_.pop();
+      if (h.to != j) keep.push_back(std::move(h));
+    }
+    for (auto& h : keep) held_.push(std::move(h));
+  }
+
+  // ---- connection supervisor ----------------------------------------------
+
+  bool mesh_complete() const {
+    for (NodeId j = 0; j < n_; ++j) {
+      if (j != self_ && peers_[j].fd < 0) return false;
+    }
+    return true;
+  }
+
+  const crypto::Key* key_for(NodeId j) const {
+    return opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
+  }
+
+  /// Our hello to peer j: counted (our receive count) in recovery mode, the
+  /// one-way legacy form otherwise.
+  std::vector<std::uint8_t> hello_to(NodeId j) const {
+    return encode_hello(self_, key_for(j),
+                        recovery_ ? std::optional(peers_[j].recv_count)
+                                  : std::nullopt);
+  }
+
+  /// Arm the next dial attempt for a lower-id peer: exponential backoff
+  /// (2 ms base, doubling per failure, 250 ms cap) plus deterministic
+  /// jitter from the node's seeded jitter stream. Higher-id peers dial us,
+  /// so for them this is a no-op. Gives up once the next attempt would land
+  /// past the cluster deadline (capped retries).
+  void schedule_redial(NodeId j, Peer& p, bool reset_backoff) {
+    if (j >= self_) return;  // that side initiates
+    if (reset_backoff) p.redial_attempts = 0;
+    constexpr SimTime kBase = 2'000;
+    constexpr SimTime kCap = 250'000;
+    SimTime delay =
+        std::min(kCap, kBase << std::min<std::uint32_t>(p.redial_attempts, 7));
+    delay += static_cast<SimTime>(
+        jitter_rng_.below(static_cast<std::uint64_t>(delay / 4 + 1)));
+    const SimTime at = now_us() + delay;
+    if (at > opts_.timeout_ms * 1'000) {
+      p.redial_at = -1;  // nothing past the run deadline can matter
+      return;
+    }
+    p.redial_at = at;
+  }
+
+  /// Supervisor pass: abort stalled dial attempts, start due dials, and
+  /// drop half-open pending accepts.
+  void supervisor_tick() {
+    const SimTime now = now_us();
+    for (NodeId j = 0; j < self_; ++j) {
+      Peer& p = peers_[j];
+      if (p.dial_fd >= 0 && now >= p.dial_deadline) {
+        // Half-open: the connect or the hello reply never completed.
+        fail_dial(j, p);
+      }
+      if (p.fd < 0 && p.dial_fd < 0 && p.redial_at >= 0 &&
+          now >= p.redial_at) {
+        start_dial(j, p);
+      }
+    }
+    for (std::size_t a = 0; a < accepts_.size();) {
+      if (now >= accepts_[a].deadline) {
+        ::close(accepts_[a].fd);
+        accepts_[a] = std::move(accepts_.back());
+        accepts_.pop_back();
+      } else {
+        ++a;
+      }
+    }
+  }
+
+  /// Begin one non-blocking dial attempt to a lower-id peer.
+  void start_dial(NodeId j, Peer& p) {
+    p.redial_at = -1;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) sys_fail("socket(dial)");
+    set_nonblocking(fd);
+    sockaddr_in addr = loopback_addr(ports_[j]);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
+        errno != EINPROGRESS) {
+      ::close(fd);
+      ++p.redial_attempts;
+      schedule_redial(j, p, false);
+      return;
+    }
+    p.dial_fd = fd;
+    p.dial_hello_sent = false;
+    p.dial_buf.clear();
+    p.dial_deadline = now_us() + kDialTimeoutUs;
+  }
+
+  /// Advance a dial attempt: finish the connect and send our hello. A
+  /// legacy link is up right there; a recovery link first reads and
+  /// verifies the peer's counted reply.
+  void progress_dial(NodeId j, Peer& p) {
+    if (p.dial_fd < 0) return;
+    if (!p.dial_hello_sent) {
+      int err = 0;
+      socklen_t len = sizeof(err);
+      ::getsockopt(p.dial_fd, SOL_SOCKET, SO_ERROR, &err, &len);
+      if (err != 0) {
+        fail_dial(j, p);
+        return;
+      }
+      if (opts_.nodelay) set_nodelay(p.dial_fd);
+      if (!send_hello(p.dial_fd, hello_to(j))) {
+        fail_dial(j, p);
+        return;
+      }
+      p.dial_hello_sent = true;
+      if (!recovery_) adopt_link(j, p, take_dial(p), 0);
+      return;
+    }
+    const std::size_t want = hello_size(opts_.auth, true);
+    while (p.dial_buf.size() < want) {
+      std::uint8_t tmp[64];
+      const ssize_t k = ::read(p.dial_fd, tmp, want - p.dial_buf.size());
+      if (k > 0) {
+        p.dial_buf.insert(p.dial_buf.end(), tmp, tmp + k);
+        continue;
+      }
+      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      fail_dial(j, p);  // EOF or hard error before the full reply
+      return;
+    }
+    const auto reply =
+        decode_hello(p.dial_buf, true, self_, opts_.auth ? &keys_ : nullptr);
+    if (!reply || reply->id != j) {
+      fail_dial(j, p);
+      return;
+    }
+    adopt_link(j, p, take_dial(p), reply->recv);
+  }
+
+  /// Detach the dial socket from the dial state machine.
+  int take_dial(Peer& p) {
+    const int fd = p.dial_fd;
+    p.dial_fd = -1;
+    p.dial_hello_sent = false;
+    p.dial_buf.clear();
+    return fd;
+  }
+
+  void fail_dial(NodeId j, Peer& p) {
+    abort_dial(p);
+    ++p.redial_attempts;
+    schedule_redial(j, p, false);
+  }
+
+  void abort_dial(Peer& p) {
+    const int fd = take_dial(p);
+    if (fd >= 0) ::close(fd);
+  }
+
+  /// Accept every queued connection; hellos complete asynchronously in
+  /// progress_accepts() under a deadline.
+  void accept_connections() {
+    while (true) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) break;
+      if (opts_.nodelay) set_nodelay(fd);
+      set_nonblocking(fd);
+      accepts_.push_back({fd, {}, now_us() + kDialTimeoutUs});
+    }
+  }
+
+  void progress_accepts() {
+    const std::size_t want = hello_size(opts_.auth, recovery_);
+    for (std::size_t a = 0; a < accepts_.size();) {
+      PendingAccept& pa = accepts_[a];
+      std::uint8_t tmp[64];
+      const ssize_t k = ::read(pa.fd, tmp, want - pa.buf.size());
+      if (k > 0) pa.buf.insert(pa.buf.end(), tmp, tmp + k);
+      const bool dead =
+          k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+      const bool settled = !dead && pa.buf.size() == want;
+      if (dead || (settled && !accept_hello(pa))) ::close(pa.fd);
+      if (dead || settled) {
+        accepts_[a] = std::move(accepts_.back());
+        accepts_.pop_back();
+      } else {
+        ++a;
+      }
+    }
+  }
+
+  /// Verify a complete hello on an accepted connection and adopt it as the
+  /// claimed peer's link (replying with our own counted hello in recovery
+  /// mode). Only higher ids dial us, and while the mesh is coming up a
+  /// second hello for a link that is already up is rejected as a duplicate.
+  /// Returns false to reject the connection: stranger, forger, or nonsense.
+  bool accept_hello(const PendingAccept& pa) {
+    const auto h = decode_hello(pa.buf, recovery_, self_,
+                                opts_.auth ? &keys_ : nullptr);
+    if (!h || h->id <= self_ || h->id >= n_) return false;
+    Peer& p = peers_[h->id];
+    if (!mesh_up_ && p.fd >= 0) return false;
+    // Two-way in recovery mode: the dialer replays its undelivered suffix
+    // symmetrically once it has read our receive count.
+    if (recovery_ && !send_hello(pa.fd, hello_to(h->id))) return false;
+    adopt_link(h->id, p, pa.fd, h->recv);
+    return true;
+  }
+
+  /// Install a freshly handshaken socket as peer j's link and replay the
+  /// log suffix the peer's hello says it is missing. A still-open old fd is
+  /// replaced (reconnect-during-handshake race: the newest handshake wins).
+  /// Only re-establishments count as reconnects, not the initial mesh.
+  void adopt_link(NodeId j, Peer& p, int fd, std::uint64_t peer_recv) {
+    if (p.fd >= 0) ::close(p.fd);
+    p.fd = fd;
+    p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
+    p.outq.clear();
+    p.front_written = 0;
+    p.blocked = false;
+    p.redial_at = -1;
+    if (!mesh_up_) return;
+    drop_held_for(j);
+    ++counters_.reconnects;
+    replay_to(p, peer_recv);
+  }
+
   Options opts_;
   const crypto::KeyStore& keys_;
   std::vector<std::uint16_t> ports_;
   int listen_fd_;
-  Clock::time_point epoch_;
-  std::unique_ptr<net::Protocol> protocol_;
-  /// Recreates this node's protocol instance (recovery mode only) — the
-  /// restart path feeds the fresh instance the snapshot bytes.
-  std::function<std::unique_ptr<net::Protocol>()> rebuild_;
-  Decoder decoder_;
-  net::WakeupFd& done_wake_;
-  net::WakeupFd wake_;
-  Rng rng_;
   Rng jitter_rng_;
   bool recovery_ = false;
+  /// Every link came up once and the protocol runs.
+  bool mesh_up_ = false;
   std::vector<Peer> peers_;
   std::priority_queue<HeldFrame, std::vector<HeldFrame>, HeldLater> held_;
-  std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
+  std::vector<PendingAccept> accepts_;
   /// Pooled scratch reused across the node's lifetime (no per-iteration or
   /// per-read allocations in the steady state).
   std::vector<std::uint8_t> rbuf_;
@@ -1288,153 +864,23 @@ class TcpCluster::Node final : public net::Context {
   std::vector<PollOwner> owners_;
   std::vector<iovec> iov_;
   std::vector<std::uint8_t> stage_;
-  /// This node's own restart schedule (sorted by down_us) and dark state.
-  std::vector<ChurnWindow> windows_;
-  std::size_t next_window_ = 0;
-  bool down_ = false;
-  SimTime up_at_ = 0;
-  SimTime down_since_ = 0;
-  /// Serialized RestartableProtocol state across a dark window.
-  std::vector<std::uint8_t> snapshot_;
-  bool have_snapshot_ = false;
-  std::vector<PendingAccept> accepts_;
-  TransportMetrics metrics_;
-  std::string error_;
 };
 
 // ------------------------------------------------------------------ Cluster
 
 TcpCluster::TcpCluster(Options opts)
-    : opts_(opts), keys_(opts.seed, opts.n), ports_(opts.n, 0) {
-  if (opts_.n < 1) throw ConfigError("TcpCluster: n must be >= 1");
+    : SocketCluster("TcpCluster", opts.n, opts.seed, opts.auth,
+                    opts.timeout_ms, opts.churn),
+      opts_(std::move(opts)) {
   if (!opts_.churn.empty()) opts_.recovery = true;
-  for (const auto& w : opts_.churn) {
-    if (w.id >= opts_.n) {
-      throw ConfigError("TcpCluster: churn id out of range");
-    }
-    if (w.up_us <= w.down_us) {
-      throw ConfigError("TcpCluster: churn window needs up_us > down_us");
-    }
-  }
 }
 
-TcpCluster::~TcpCluster() {
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+int TcpCluster::open_socket(std::uint16_t& port) {
+  return bind_tcp_listener(port);
 }
 
-void TcpCluster::request_stop() {
-  stop_.store(true);
-  for (auto& node : nodes_) node->wake();
-}
-
-void TcpCluster::start(const ProtocolFactory& factory, Decoder decoder) {
-  DELPHI_ASSERT(!started_, "TcpCluster: start() called twice");
-  started_ = true;
-
-  // Open all listen sockets first so every connect() finds a live backlog.
-  std::vector<int> listen_fds(opts_.n, -1);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    listen_fds[i] = make_listen_socket(ports_[i]);
-  }
-  // One shared epoch so every node's shim schedules partition heals and
-  // burst windows against the same t=0.
-  const auto epoch = Clock::now();
-  nodes_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    std::function<std::unique_ptr<net::Protocol>()> rebuild;
-    if (opts_.recovery) {
-      // The restart path re-creates the protocol from the same factory and
-      // feeds it the snapshot; configuration is the factory's to re-supply.
-      rebuild = [factory, i] { return factory(i); };
-    }
-    nodes_.push_back(std::make_unique<Node>(
-        i, opts_, keys_, ports_, listen_fds[i], epoch, factory(i),
-        std::move(rebuild), decoder, done_wake_));
-  }
-  threads_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    threads_.emplace_back([this, i] { nodes_[i]->run(stop_); });
-  }
-}
-
-bool TcpCluster::wait() {
-  DELPHI_ASSERT(started_, "TcpCluster: wait() before start()");
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-  // Block on the done wakeup-fd (nodes signal termination transitions and
-  // thread exits) instead of polling flags on a timer.
-  while (true) {
-    bool all_done = true;
-    bool dead_node = false;
-    for (const auto& node : nodes_) {
-      if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      // An exited-but-unterminated node (mesh failure, protocol exception)
-      // can never become done, so the run's outcome is already a fixed
-      // false — fail fast instead of sleeping out the deadline.
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
-    }
-    if (all_done || dead_node) break;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{done_wake_.fd(), POLLIN, 0};
-    // Clamped so arbitrarily large timeouts can't overflow poll's int arg;
-    // the loop re-checks the deadline after every wakeup anyway.
-    ::poll(&pfd, 1,
-           static_cast<int>(std::min<std::int64_t>(remaining.count(), 60'000)));
-    done_wake_.drain();
-  }
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  // With threads joined the flags are final: record who never terminated so
-  // timeouts are diagnosable (which nodes, not just "false").
-  unfinished_.clear();
-  failures_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->done.load(std::memory_order_acquire)) {
-      unfinished_.push_back(i);
-    }
-    if (!nodes_[i]->error().empty()) {
-      failures_.push_back({i, nodes_[i]->error()});
-    }
-  }
-  joined_ = true;
-  // The joined flags are authoritative (a node may have terminated between
-  // the last poll and the join).
-  return unfinished_.empty();
-}
-
-const std::vector<NodeId>& TcpCluster::unfinished() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: unfinished() before wait()");
-  return unfinished_;
-}
-
-const std::vector<NodeFailure>& TcpCluster::failures() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: failures() before wait()");
-  return failures_;
-}
-
-net::Protocol& TcpCluster::protocol(NodeId id) {
-  DELPHI_ASSERT(joined_, "TcpCluster: protocol() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->protocol();
-}
-
-const TransportMetrics& TcpCluster::metrics(NodeId id) const {
-  DELPHI_ASSERT(joined_, "TcpCluster: metrics() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->metrics();
-}
-
-std::uint16_t TcpCluster::port(NodeId id) const {
-  DELPHI_ASSERT(id < ports_.size(), "TcpCluster: bad node id");
-  return ports_[id];
+std::unique_ptr<NodeHost> TcpCluster::make_node(NodeHost::Setup s, int fd) {
+  return std::make_unique<Node>(std::move(s), fd, opts_, keys_, ports_);
 }
 
 }  // namespace delphi::transport

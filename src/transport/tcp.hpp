@@ -33,65 +33,17 @@
 /// Typed message bodies are recovered from payload bytes by a per-deployment
 /// `Decoder` (see transport/decoders.hpp for the standard protocol suites).
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "net/netem.hpp"
-#include "net/protocol.hpp"
-#include "net/wakeup.hpp"
-#include "transport/frame.hpp"
+#include "transport/node_host.hpp"
 
 namespace delphi::transport {
-
-/// Recovers a typed message from payload bytes arriving on `channel`.
-/// Throws SerializationError / ProtocolViolation on malformed input (the
-/// transport counts and drops the frame).
-using Decoder =
-    std::function<net::MessagePtr(std::uint32_t channel, ByteReader& r)>;
-
-/// Per-node transport counters (mirrors sim::NodeMetrics).
-struct TransportMetrics {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t bytes_sent = 0;  ///< framed bytes, self-delivery excluded
-  std::uint64_t msgs_delivered = 0;
-  std::uint64_t malformed_dropped = 0;
-  // Churn/recovery plane (all zero on churn-free runs):
-  /// Successful link re-establishments this node took part in (dialer or
-  /// acceptor side); UDP counts socket rebinds after a restart.
-  std::uint64_t reconnects = 0;
-  /// Catch-up traffic: frames replayed to a rejoining peer (TCP) /
-  /// retransmitted datagrams (UDP). Transport recovery overhead — never part
-  /// of bytes_sent, so cross-substrate honest-byte parity is unaffected.
-  std::uint64_t catchup_frames = 0;
-  std::uint64_t catchup_bytes = 0;
-  /// Wall time this node spent dark across its restarts.
-  std::uint64_t downtime_us = 0;
-};
-
-/// One scheduled restart on a socket substrate: node `id` stops its event
-/// loop and closes every socket at `down_us` (µs since cluster start), then
-/// rebinds/re-dials the mesh at `up_us`.
-struct ChurnWindow {
-  NodeId id = 0;
-  std::int64_t down_us = 0;
-  std::int64_t up_us = 0;
-};
-
-/// A node thread that died with an error: which node and why (exception
-/// text, typically carrying errno). Recorded by the clusters' wait().
-struct NodeFailure {
-  NodeId id = 0;
-  std::string message;
-
-  bool operator==(const NodeFailure&) const = default;
-};
 
 /// First bytes on every link: magic + the initiator's node id, plus (on
 /// authenticated deployments) an HMAC tag under the pairwise key — without
@@ -116,6 +68,23 @@ std::size_t hello_size(bool auth, bool counted);
 std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
                                        std::optional<std::uint64_t> recv = {});
 
+/// A parsed hello: the claimed initiator id and, in the counted form, its
+/// receive count.
+struct Hello {
+  NodeId id = 0;
+  std::uint64_t recv = 0;
+};
+
+/// The one hello parser. `bytes` must be exactly hello_size(keys != nullptr,
+/// counted) long. With `keys` (authenticated deployments) the tag is checked
+/// under the pairwise key between `self` and the claimed id. Returns nullopt
+/// for a wrong size or magic, a claimed id with no key (out of range or
+/// `self`), or a failed tag — a connection to reject. The caller decides
+/// which ids may dial it.
+std::optional<Hello> decode_hello(std::span<const std::uint8_t> bytes,
+                                  bool counted, NodeId self,
+                                  const crypto::KeyStore* keys);
+
 /// A full-mesh TCP cluster of n nodes, one OS thread each, on 127.0.0.1.
 ///
 /// Usage:
@@ -123,7 +92,13 @@ std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
 ///   cluster.start(factory, decoder);   // spawns threads, connects the mesh
 ///   bool ok = cluster.wait();          // all honest protocols terminated?
 ///   auto& p = cluster.protocol(i);     // read outputs (after wait())
-class TcpCluster {
+///
+/// Mesh bring-up runs through the connection supervisor: node i dials every
+/// lower id (non-blocking connect, retried with backoff) and accepts every
+/// higher id, and starts its protocol once all of its own links are up. A
+/// node whose mesh is not complete by `timeout_ms` fails with "tcp: mesh
+/// setup timeout".
+class TcpCluster final : public SocketCluster {
  public:
   struct Options {
     std::size_t n = 4;
@@ -145,7 +120,7 @@ class TcpCluster {
     /// `recovery`. A dark node closes every socket (peers see EOF /
     /// connection refused) and rejoins at up_us: it rebinds its listen port,
     /// re-dials lower ids, and higher ids re-dial it with backoff.
-    std::vector<ChurnWindow> churn;
+    std::vector<net::ChurnWindow> churn;
     /// Enable the connection supervisor + catch-up plane even without a
     /// churn schedule: steady-state accepts of re-connections from known
     /// peers, re-dial with exponential backoff and deterministic jitter,
@@ -161,65 +136,17 @@ class TcpCluster {
     std::size_t replay_budget_bytes = std::size_t{32} << 20;
   };
 
-  /// Shared factory alias from net/protocol.hpp (same type the simulator
-  /// harness and scenario runtimes consume).
-  using ProtocolFactory = net::ProtocolFactory;
-
   explicit TcpCluster(Options opts);
-  ~TcpCluster();
-
-  TcpCluster(const TcpCluster&) = delete;
-  TcpCluster& operator=(const TcpCluster&) = delete;
-
-  /// Create protocols, open the listen sockets, spawn node threads, connect
-  /// the mesh, and start every protocol. Call exactly once.
-  void start(const ProtocolFactory& factory, Decoder decoder);
-
-  /// Block until every node's protocol terminated or the timeout expires,
-  /// then stop and join all threads. Returns true iff all terminated; on
-  /// timeout, unfinished() names the nodes that had not.
-  bool wait();
-
-  /// Node ids whose protocols had not terminated when wait() gave up, in
-  /// ascending order (empty iff wait() returned true). Only safe after
-  /// wait() returned.
-  const std::vector<NodeId>& unfinished() const;
-
-  /// Nodes whose threads died with an error (exception text, typically
-  /// carrying errno), in ascending id order. Only safe after wait()
-  /// returned.
-  const std::vector<NodeFailure>& failures() const;
-
-  /// Node i's protocol. Only safe after wait() returned (threads joined).
-  net::Protocol& protocol(NodeId id);
-
-  /// Node i's transport counters. Only safe after wait() returned.
-  const TransportMetrics& metrics(NodeId id) const;
-
-  /// Resolved listen port of node i (set by start()).
-  std::uint16_t port(NodeId id) const;
 
   const Options& options() const noexcept { return opts_; }
 
  private:
   class Node;
 
-  /// Set the stop flag and wake every node's event loop (idempotent).
-  void request_stop();
+  int open_socket(std::uint16_t& port) override;
+  std::unique_ptr<NodeHost> make_node(NodeHost::Setup s, int fd) override;
 
   Options opts_;
-  crypto::KeyStore keys_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::thread> threads_;
-  std::vector<std::uint16_t> ports_;
-  std::vector<NodeId> unfinished_;
-  std::vector<NodeFailure> failures_;
-  std::atomic<bool> stop_{false};
-  /// Signaled by nodes on protocol termination (and thread exit) so wait()
-  /// blocks in poll() instead of sleeping on a timer.
-  net::WakeupFd done_wake_;
-  bool started_ = false;
-  bool joined_ = false;
 };
 
 }  // namespace delphi::transport

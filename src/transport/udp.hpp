@@ -35,21 +35,16 @@
 /// The datagram codec below is exposed for tests (fuzz_decode_test feeds it
 /// truncated/corrupt datagrams) and the bench; UdpMesh is the cluster.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "net/netem.hpp"
-#include "net/protocol.hpp"
-#include "net/wakeup.hpp"
 #include "transport/frame.hpp"
-#include "transport/tcp.hpp"  // Decoder, TransportMetrics
+#include "transport/node_host.hpp"
 
 namespace delphi::transport {
 
@@ -124,13 +119,14 @@ class SeqFilter {
 };
 
 /// A full-mesh UDP cluster of n nodes, one OS thread each, on 127.0.0.1 —
-/// the same lifecycle and observer API as TcpCluster:
+/// the same lifecycle and observer API as TcpCluster (both are
+/// SocketClusters):
 ///
 ///   UdpMesh mesh(opts);
 ///   mesh.start(factory, decoder);
 ///   bool ok = mesh.wait();
 ///   auto& p = mesh.protocol(i);
-class UdpMesh {
+class UdpMesh final : public SocketCluster {
  public:
   struct Options {
     std::size_t n = 4;
@@ -159,62 +155,20 @@ class UdpMesh {
     /// the port is the node's identity, so peers' ARQ retransmissions find
     /// it again with no handshake. A RestartableProtocol is snapshotted at
     /// down and restored from bytes at up.
-    std::vector<ChurnWindow> churn;
+    std::vector<net::ChurnWindow> churn;
   };
 
-  using ProtocolFactory = net::ProtocolFactory;
-
   explicit UdpMesh(Options opts);
-  ~UdpMesh();
-
-  UdpMesh(const UdpMesh&) = delete;
-  UdpMesh& operator=(const UdpMesh&) = delete;
-
-  /// Bind every node's socket, create protocols, spawn node threads, and
-  /// start every protocol. Call exactly once.
-  void start(const ProtocolFactory& factory, Decoder decoder);
-
-  /// Block until every node's protocol terminated or the timeout expires,
-  /// then stop and join all threads. Returns true iff all terminated.
-  bool wait();
-
-  /// Node ids whose protocols had not terminated when wait() gave up (empty
-  /// iff wait() returned true). Only safe after wait() returned.
-  const std::vector<NodeId>& unfinished() const;
-
-  /// Nodes whose threads died with an error (exception text — e.g. the
-  /// typed ResourceExhausted of an unacked-map overflow), in ascending id
-  /// order. Only safe after wait() returned.
-  const std::vector<NodeFailure>& failures() const;
-
-  /// Node i's protocol. Only safe after wait() returned.
-  net::Protocol& protocol(NodeId id);
-
-  /// Node i's transport counters (logical sends only: retransmissions and
-  /// acks are not traffic). Only safe after wait() returned.
-  const TransportMetrics& metrics(NodeId id) const;
-
-  /// Resolved UDP port of node i (set by start()).
-  std::uint16_t port(NodeId id) const;
 
   const Options& options() const noexcept { return opts_; }
 
  private:
   class Node;
 
-  void request_stop();
+  int open_socket(std::uint16_t& port) override;
+  std::unique_ptr<NodeHost> make_node(NodeHost::Setup s, int fd) override;
 
   Options opts_;
-  crypto::KeyStore keys_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::thread> threads_;
-  std::vector<std::uint16_t> ports_;
-  std::vector<NodeId> unfinished_;
-  std::vector<NodeFailure> failures_;
-  std::atomic<bool> stop_{false};
-  net::WakeupFd done_wake_;
-  bool started_ = false;
-  bool joined_ = false;
 };
 
 }  // namespace delphi::transport

@@ -171,6 +171,45 @@ TEST(WireGolden, LinkHellos) {
   }
 }
 
+TEST(WireGolden, LinkHellosDecodeBack) {
+  // The one hello parser reads every pinned form back, and rejects what an
+  // acceptor must: a wrong size or magic, a forged tag, an id with no key.
+  const crypto::KeyStore keys(7, 4);
+  for (const bool counted : {false, true}) {
+    const auto recv =
+        counted ? std::optional<std::uint64_t>(300) : std::nullopt;
+    const auto plain = transport::encode_hello(3, nullptr, recv);
+    auto h = transport::decode_hello(plain, counted, 1, nullptr);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->id, 3u);
+    EXPECT_EQ(h->recv, counted ? 300u : 0u);
+
+    auto authed = transport::encode_hello(3, &keys.channel_key(3, 1), recv);
+    h = transport::decode_hello(authed, counted, 1, &keys);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->id, 3u);
+    EXPECT_EQ(h->recv, counted ? 300u : 0u);
+    // Verified under the pair's key: another receiver's key rejects it.
+    EXPECT_FALSE(transport::decode_hello(authed, counted, 2, &keys));
+    // The wrong form (size) is rejected, not misread.
+    EXPECT_FALSE(transport::decode_hello(authed, !counted, 1, &keys));
+    EXPECT_FALSE(transport::decode_hello(plain, counted, 1, &keys));
+
+    auto forged = authed;
+    forged.back() ^= 0x01;  // a guessed tag
+    EXPECT_FALSE(transport::decode_hello(forged, counted, 1, &keys));
+    auto bad_magic = plain;
+    bad_magic[0] ^= 0xFF;
+    EXPECT_FALSE(transport::decode_hello(bad_magic, counted, 1, nullptr));
+    // An id with no pairwise key (out of range, or the receiver itself).
+    const crypto::Key& key = keys.channel_key(3, 1);
+    const auto stranger = transport::encode_hello(99, &key, recv);
+    EXPECT_FALSE(transport::decode_hello(stranger, counted, 1, &keys));
+    const auto self = transport::encode_hello(1, &key, recv);
+    EXPECT_FALSE(transport::decode_hello(self, counted, 1, &keys));
+  }
+}
+
 TEST(WireGolden, GoldenBytesDecodeBack) {
   // The pinned encodings stay decodable (golden test's other direction).
   {
