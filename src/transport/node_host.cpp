@@ -283,6 +283,13 @@ void NodeHost::park_dark() {
 
 // ------------------------------------------------------------- SocketCluster
 
+namespace {
+
+/// How long wait() lets the other nodes settle after one died.
+constexpr std::chrono::milliseconds kSettleGrace{250};
+
+}  // namespace
+
 SocketCluster::SocketCluster(const char* name, std::size_t n,
                              std::uint64_t seed, bool auth,
                              std::int64_t timeout_ms,
@@ -354,22 +361,30 @@ void SocketCluster::start(const ProtocolFactory& factory, Decoder decoder) {
 
 bool SocketCluster::wait() {
   DELPHI_ASSERT(started_, what(": wait() before start()"));
-  const auto deadline =
+  auto deadline =
       NodeHost::Clock::now() + std::chrono::milliseconds(timeout_ms_);
+  bool dead_node = false;
   // Block on the done wakeup-fd (nodes signal termination transitions and
   // thread exits) instead of polling flags on a timer.
   while (true) {
-    bool all_done = true;
-    bool dead_node = false;
+    bool settled = true;
     for (const auto& node : nodes_) {
       if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      // An exited-but-unterminated node (mesh failure, protocol exception)
-      // can never become done, so the run's outcome is already a fixed
-      // false — fail fast instead of sleeping out the deadline.
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
+      if (!node->exited.load(std::memory_order_acquire)) {
+        settled = false;
+      } else if (!dead_node) {
+        // An exited-but-unterminated node (mesh failure, protocol
+        // exception) can never become done, so the run's outcome is
+        // already a fixed false — fail fast instead of sleeping out the
+        // deadline, after a short grace in which the survivors finish
+        // starting or terminate, so that unfinished() and failures() name
+        // only the nodes at fault rather than whoever the stop caught
+        // mid-bring-up.
+        dead_node = true;
+        deadline = std::min(deadline, NodeHost::Clock::now() + kSettleGrace);
+      }
     }
-    if (all_done || dead_node) break;
+    if (settled) break;
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             deadline - NodeHost::Clock::now());

@@ -19,6 +19,9 @@ namespace delphi::transport {
 
 namespace {
 
+constexpr std::uint32_t kHelloMagic = 0x44504849;  // "IHPD" LE == "DPHI"
+constexpr std::size_t kHelloPrefixSize = 8;        // magic + id
+
 /// Frames gathered per writev(2): the portable IOV_MAX floor (1024 entries
 /// = up to 512 authenticated frames per syscall). The iovec array is pooled
 /// per node, so the only cost of a large gather is the syscalls it saves.
@@ -258,15 +261,10 @@ class TcpCluster::Node final : public NodeHost {
     for (NodeId j = 0; j < self_; ++j) peers_[j].redial_at = 0;
     const SimTime deadline = opts_.timeout_ms * 1000;
     while (!mesh_complete()) {
-      const bool stopping = stop.load(std::memory_order_relaxed);
-      if (stopping || now_us() >= deadline) {
-        // Last pass: take in the connections and hellos that already
-        // reached this node before giving up on the mesh.
-        serve(0);
-        if (mesh_complete()) break;
-        throw Error(stopping ? "tcp: mesh setup interrupted"
-                             : "tcp: mesh setup timeout");
+      if (stop.load(std::memory_order_relaxed)) {
+        throw Error("tcp: mesh setup interrupted");
       }
+      if (now_us() >= deadline) throw Error("tcp: mesh setup timeout");
       serve(deadline);
     }
     mesh_up_ = true;

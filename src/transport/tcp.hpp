@@ -45,14 +45,6 @@
 
 namespace delphi::transport {
 
-/// First bytes on every link: magic + the initiator's node id, plus (on
-/// authenticated deployments) an HMAC tag under the pairwise key — without
-/// it, a keyless attacker racing the mesh bring-up could claim a legitimate
-/// node id and black-hole that link (frames would fail their MACs, but the
-/// real peer's connection would already have been rejected as a duplicate).
-inline constexpr std::uint32_t kHelloMagic = 0x44504849;  // "IHPD" LE == "DPHI"
-inline constexpr std::size_t kHelloPrefixSize = 8;
-
 /// Bytes of one hello. The counted form (recovery mode, see
 /// Options::recovery) appends a u64 after the prefix: how many complete
 /// frames the sender has received from the destination on this link across
@@ -61,10 +53,13 @@ inline constexpr std::size_t kHelloPrefixSize = 8;
 /// byte-identical to the pre-recovery wire format.
 std::size_t hello_size(bool auth, bool counted);
 
-/// Encode the hello node `self` opens a link with: magic | u32 id |
-/// [u64 recv] | [HMAC tag under the pairwise `key`, covering the id and the
-/// count]. `key` = nullptr on plaintext deployments; `recv` selects the
-/// counted form.
+/// Encode the hello node `self` opens a link with — the first bytes on
+/// every link: magic | u32 id | [u64 recv] | [HMAC tag under the pairwise
+/// `key`, covering the id and the count]. `key` = nullptr on plaintext
+/// deployments; `recv` selects the counted form. Without the tag, a keyless
+/// attacker racing the mesh bring-up could claim a legitimate node id and
+/// black-hole that link (frames would fail their MACs, but the real peer's
+/// connection would already have been rejected as a duplicate).
 std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
                                        std::optional<std::uint64_t> recv = {});
 
