@@ -228,8 +228,10 @@ class SocketCluster {
   void start(const ProtocolFactory& factory, Decoder decoder);
 
   /// Block until every node's protocol terminated or the timeout expires,
-  /// then stop and join all threads. Returns true iff all terminated; on
-  /// timeout, unfinished() names the nodes that had not.
+  /// then stop and join all threads. A node thread that dies ends the wait
+  /// early, once the other nodes have settled or a 250 ms grace ran out.
+  /// Returns true iff all terminated; otherwise unfinished() names the
+  /// nodes that had not.
   bool wait();
 
   /// Node ids whose protocols had not terminated when wait() gave up, in
